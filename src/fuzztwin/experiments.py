@@ -67,17 +67,6 @@ def cases_to_first(curve, k: int):
     return None
 
 
-def mean_curve(curves) -> list[tuple[int, float]]:
-    """Average cumulative curves over their common prefix."""
-    if not curves:
-        return []
-    horizon = min(len(c) for c in curves)
-    out = []
-    for i in range(horizon):
-        out.append((i + 1, float(np.mean([c[i][1] for c in curves]))))
-    return out
-
-
 def aligned_mean_curve(curves) -> list[tuple[int, float]]:
     """Average curves re-indexed to cases since each run's first discovery.
 

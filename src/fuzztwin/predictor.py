@@ -2,9 +2,18 @@
 
 A single-layer LSTM with an embedding front end and a sigmoid readout on
 the final hidden state, trained by full backpropagation through time with
-plain gradient descent (sum-reduced binary cross entropy per batch, global
-gradient-norm clipping). Everything is float64 numpy and deterministic for
-a fixed seed: fixed initialisation, fixed shuffles.
+plain gradient descent on sum-reduced binary cross entropy per batch.
+
+Each training batch runs as one vectorised forward and backward pass.
+Sequences are right-padded to the batch's longest truncated length; past a
+sample's end a mask keeps its h and c (forward) and dh and dc (backward)
+unchanged, so padding adds nothing to its gradient. Each sample's gradient
+set is clipped to ``clip_norm`` on its own before the sum, its norm taken
+from per-sample Gram matrices of the batched terms. The same code run on a batch of one
+gives ``lstm_forward``, ``sample_loss`` and ``analytic_gradients``, which
+``gradient_check`` compares with finite differences. Everything is float64
+numpy and deterministic for a fixed seed: fixed initialisation, fixed
+shuffles.
 
 Cut-off semantics: a Steps(n) sample keeps the first n states, a
 Duration(t) sample keeps states whose trace-relative timestamp is below t
@@ -34,8 +43,11 @@ class IndexOutOfVocab(PredictorError):
     pass
 
 
-class SingleClassDataset(PredictorError):
-    pass
+class SingleClass(PredictorError):
+    """The data holds only one outcome class."""
+
+
+SingleClassDataset = SingleClass  # earlier name, kept for imports
 
 
 MODEL_MAGIC = b"FZLM"
@@ -213,90 +225,162 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
-def _forward_cache(model: LstmModel, indices):
-    """Run the cell over the sequence, keeping activations for BPTT."""
-    if len(indices) == 0:
+def _pad(model: LstmModel, samples):
+    """Truncated state indices of a batch, right-padded with index 0.
+
+    Returns (indices (B, T), lengths (B,), labels (B,)) with T the longest
+    truncated length in the batch.
+    """
+    sequences = [truncate_indices(s) for s in samples]
+    lengths = np.array([len(q) for q in sequences], dtype=np.intp)
+    if len(sequences) == 0 or not lengths.all():
         raise EmptySequence("empty input after truncation")
+    indices = np.zeros((len(sequences), int(lengths.max())), dtype=np.int64)
+    for row, sequence in zip(indices, sequences):
+        row[: len(sequence)] = sequence
+    # checked here: numpy indexing would wrap a negative index silently
+    bad = (indices < 0) | (indices >= model.vocab_size)
+    if bad.any():
+        raise IndexOutOfVocab(f"state index {int(indices[bad][0])} outside vocabulary")
+    labels = np.array([float(s.label) for s in samples])
+    return indices, lengths, labels
+
+
+def _forward(model: LstmModel, indices, lengths, cache=None):
+    """Run the cell over a padded batch; returns (logits (B,), h (B, H)).
+
+    Past a sample's length its h and c stay as they were, so the readout
+    sees each sample's own last state. With ``cache`` (a list) each step's
+    (h_prev, c_prev, gates, g, c_new) is appended to it for BPTT, where
+    gates is the sigmoid of all four pre-activations (i, f, o are used).
+    """
     hidden = model.hidden_dim
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    steps = []
-    for idx in indices:
-        if not 0 <= idx < model.vocab_size:
-            raise IndexOutOfVocab(f"state index {idx} outside vocabulary")
-        x = model.embedding[idx]
-        z = model.w_x @ x + model.w_h @ h + model.bias
-        i = _sigmoid(z[:hidden])
-        f = _sigmoid(z[hidden : 2 * hidden])
-        g = np.tanh(z[2 * hidden : 3 * hidden])
-        o = _sigmoid(z[3 * hidden :])
+    h = np.zeros((len(indices), hidden))
+    c = np.zeros((len(indices), hidden))
+    w_x_t, w_h_t = model.w_x.T, model.w_h.T
+    shortest = lengths.min()
+    for t in range(indices.shape[1]):
+        # per step, so a loss pass over a whole split holds O(B * 4H) floats
+        z = model.embedding[indices[:, t]] @ w_x_t
+        z += h @ w_h_t
+        z += model.bias
+        gates = _sigmoid(z)
+        i, f, o = gates[:, :hidden], gates[:, hidden : 2 * hidden], gates[:, 3 * hidden :]
+        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
         c_new = f * c + i * g
         h_new = o * np.tanh(c_new)
-        steps.append((idx, x, h, c, i, f, g, o, c_new))
-        h, c = h_new, c_new
-    logit = float(model.w_out @ h + model.b_out[0])
-    return logit, h, steps
+        if cache is not None:
+            cache.append((h, c, gates, g, c_new))
+        if t < shortest:
+            h, c = h_new, c_new
+        else:
+            live = (t < lengths)[:, None]
+            h = np.where(live, h_new, h)
+            c = np.where(live, c_new, c)
+    return h @ model.w_out + model.b_out[0], h
+
+
+def _gram(a):
+    """Per-sample inner products of the step vectors of a (B, T, K) array."""
+    return a @ a.transpose(0, 2, 1)
 
 
 def lstm_forward(model: LstmModel, sample: SequenceSample) -> float:
     """Probability that the connection fails, on the truncated prefix."""
-    logit, _, _ = _forward_cache(model, truncate_indices(sample))
-    return float(_sigmoid(np.array([logit]))[0])
+    indices, lengths, _ = _pad(model, [sample])
+    logits, _ = _forward(model, indices, lengths)
+    return float(_sigmoid(logits)[0])
 
 
-def _zero_grads(model: LstmModel) -> dict:
-    return {name: np.zeros_like(getattr(model, name)) for name in PARAM_NAMES}
+def sample_loss(model: LstmModel, samples) -> float:
+    """Mean BCE over one sample or a sequence of samples (no BPTT cache)."""
+    if isinstance(samples, SequenceSample):
+        samples = [samples]
+    indices, lengths, labels = _pad(model, samples)
+    logits, _ = _forward(model, indices, lengths)
+    # stable BCE from the logit
+    losses = np.maximum(logits, 0.0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
+    return float(np.mean(losses))
 
 
-def _accumulate_sample_gradients(model: LstmModel, sample: SequenceSample, grads: dict) -> float:
-    """Add d(BCE)/d(theta) for one sample into grads; returns the loss."""
-    indices = truncate_indices(sample)
-    logit, h_last, steps = _forward_cache(model, indices)
-    y = float(sample.label)
-    # stable BCE from the logit; d(loss)/d(logit) = sigmoid(logit) - y
-    loss = max(logit, 0.0) - logit * y + math.log1p(math.exp(-abs(logit)))
-    p = float(_sigmoid(np.array([logit]))[0])
-    d_logit = p - y
+def _batch_gradients(model: LstmModel, indices, lengths, labels, clip_norm: float) -> dict:
+    """Summed d(BCE)/d(theta) of a padded batch by BPTT.
 
+    With clip_norm > 0 each sample's gradient set is scaled down to
+    clip_norm before the sum, so one sequence cannot blow up the batch
+    while the batch step keeps its natural magnitude. Working memory is
+    O(B * T * (4H + E)) floats, plus O(B * T * T) when clipping, and does
+    not grow with the vocabulary.
+    """
     hidden = model.hidden_dim
-    grads["w_out"] += d_logit * h_last
-    grads["b_out"][0] += d_logit
-    dh = d_logit * model.w_out
-    dc = np.zeros(hidden)
-    for idx, x, h_prev, c_prev, i, f, g, o, c_new in reversed(steps):
+    batch_size, steps = indices.shape
+    cache = []
+    logits, h_last = _forward(model, indices, lengths, cache)
+    d_logit = _sigmoid(logits) - labels  # d(BCE)/d(logit)
+    dh = d_logit[:, None] * model.w_out
+    dc = np.zeros_like(dh)
+    dz = np.zeros((batch_size, steps, 4 * hidden))  # stays 0 past each length
+    shortest = lengths.min()
+    for t in range(steps - 1, -1, -1):
+        _, c_prev, gates, g, c_new = cache[t]
+        i, f, o = gates[:, :hidden], gates[:, hidden : 2 * hidden], gates[:, 3 * hidden :]
         tanh_c = np.tanh(c_new)
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c**2)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g**2),
-                do * o * (1.0 - o),
-            ]
-        )
-        grads["w_x"] += np.outer(dz, x)
-        grads["w_h"] += np.outer(dz, h_prev)
-        grads["bias"] += dz
-        grads["embedding"][idx] += model.w_x.T @ dz
-        dh = model.w_h.T @ dz
-        dc = dc * f
-    return loss
+        dc_t = dc + dh * o * (1.0 - tanh_c**2)
+        dz_t = dz[:, t]
+        dz_t[:, :hidden] = dc_t * g * i * (1.0 - i)
+        dz_t[:, hidden : 2 * hidden] = dc_t * c_prev * f * (1.0 - f)
+        dz_t[:, 2 * hidden : 3 * hidden] = dc_t * i * (1.0 - g**2)
+        dz_t[:, 3 * hidden :] = dh * tanh_c * o * (1.0 - o)
+        if t < shortest:
+            dh, dc = dz_t @ model.w_h, dc_t * f
+        else:
+            live = (t < lengths)[:, None]
+            dz_t *= live
+            dh = np.where(live, dz_t @ model.w_h, dh)
+            dc = np.where(live, dc_t * f, dc)
+    inputs = model.embedding[indices]  # (B, T, E)
+    h_prev = np.stack([step[0] for step in cache], axis=1)  # (B, T, H)
+    d_inputs = dz @ model.w_x  # (B, T, E)
+
+    scale = np.ones(batch_size)
+    if clip_norm > 0:
+        # squared norm of sum_t dz_t (x) v_t is sum_{t,s} (dz_t . dz_s)(v_t . v_s),
+        # so (B, T, T) Gram matrices give each sample's norm without
+        # per-sample weight gradients; the embedding rows of a sample add up
+        # the steps that share a state index
+        same = indices[:, :, None] == indices[:, None, :]
+        squares = (
+            _gram(dz) * (_gram(inputs) + _gram(h_prev) + 1.0)  # w_x, w_h, bias
+            + same * _gram(d_inputs)  # embedding
+        ).sum(axis=(1, 2)) + d_logit**2 * ((h_last**2).sum(axis=1) + 1.0)  # w_out, b_out
+        norms = np.sqrt(squares)
+        # the maximum only keeps a zero norm from being divided by
+        scale = np.where(norms > clip_norm, clip_norm / np.maximum(norms, clip_norm), 1.0)
+    dz = (dz * scale[:, None, None]).reshape(-1, 4 * hidden)
+    d_logit = d_logit * scale
+    embedding = np.zeros_like(model.embedding)  # padded steps add zeros to row 0
+    np.add.at(
+        embedding,
+        indices.reshape(-1),
+        (d_inputs * scale[:, None, None]).reshape(-1, model.embed_dim),
+    )
+    return {
+        "embedding": embedding,
+        "w_x": dz.T @ inputs.reshape(-1, model.embed_dim),
+        "w_h": dz.T @ h_prev.reshape(-1, hidden),
+        "bias": dz.sum(axis=0),
+        "w_out": d_logit @ h_last,
+        "b_out": np.array([d_logit.sum()]),
+    }
+
+
+def batch_gradients(model: LstmModel, samples, clip_norm: float = 0.0) -> dict:
+    """Sum over ``samples`` of each sample's (clipped) loss gradient."""
+    return _batch_gradients(model, *_pad(model, samples), clip_norm)
 
 
 def analytic_gradients(model: LstmModel, sample: SequenceSample) -> dict:
-    grads = _zero_grads(model)
-    _accumulate_sample_gradients(model, sample, grads)
-    return grads
-
-
-def sample_loss(model: LstmModel, sample: SequenceSample) -> float:
-    logit, _, _ = _forward_cache(model, truncate_indices(sample))
-    y = float(sample.label)
-    return max(logit, 0.0) - logit * y + math.log1p(math.exp(-abs(logit)))
+    return batch_gradients(model, [sample])
 
 
 def central_difference(fn, array: np.ndarray, epsilon: float) -> np.ndarray:
@@ -345,10 +429,6 @@ def gradient_check(model: LstmModel, sample: SequenceSample, epsilon: float = 1e
 # ---------------------------------------------------------------------------
 # ROC / AUC
 # ---------------------------------------------------------------------------
-
-
-class SingleClass(PredictorError):
-    pass
 
 
 def roc_curve(scores, labels) -> list[tuple[float, float]]:
@@ -406,7 +486,6 @@ class TrainConfig:
     epochs: int = 30
     batches_per_epoch: int = 10
     test_fraction: float = 0.20
-    runs: int = 1
     seed: int = 0
     embed_dim: int = 16
     hidden_dim: int = 32
@@ -435,15 +514,6 @@ class EvalReport:
             "mean_lead_time": self.mean_lead_time,
             "train_losses": self.train_losses,
         }
-
-
-def _clip_gradients(grads: dict, clip_norm: float) -> None:
-    """Scale the gradient set down to clip_norm if it exceeds it."""
-    total = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
-    if total > clip_norm > 0:
-        scale = clip_norm / total
-        for g in grads.values():
-            g *= scale
 
 
 def _split(dataset, fraction: float, rng: np.random.Generator):
@@ -493,7 +563,7 @@ def lstm_train(dataset, config: TrainConfig):
         raise EmptySequence("dataset empty after truncation")
     labels = {s.label for s in dataset}
     if len(labels) < 2:
-        raise SingleClassDataset("need both outcomes to train")
+        raise SingleClass("need both outcomes to train")
     vocab_size = max(max(s.states) for s in dataset) + 1
     rng = np.random.default_rng(config.seed)
     train, test = _split(dataset, config.test_fraction, rng)
@@ -509,23 +579,19 @@ def lstm_train(dataset, config: TrainConfig):
             train.extend(group[n_test:])
     model = LstmModel.init(vocab_size, config.embed_dim, config.hidden_dim, seed=config.seed)
     batch_size = max(1, math.ceil(len(train) / config.batches_per_epoch))
+    indices, lengths, train_labels = _pad(model, train)
     losses = []
     for _ in range(config.epochs):
         order = rng.permutation(len(train))
         for start in range(0, len(train), batch_size):
-            batch = [train[int(i)] for i in order[start : start + batch_size]]
-            grads = _zero_grads(model)
-            for s in batch:
-                # clip per sample so one sequence cannot blow up the batch,
-                # then sum: the batch step keeps its natural magnitude
-                sample_grads = _zero_grads(model)
-                _accumulate_sample_gradients(model, s, sample_grads)
-                _clip_gradients(sample_grads, config.clip_norm)
-                for name in PARAM_NAMES:
-                    grads[name] += sample_grads[name]
+            rows = order[start : start + batch_size]
+            steps = int(lengths[rows].max())
+            grads = _batch_gradients(
+                model, indices[rows, :steps], lengths[rows], train_labels[rows], config.clip_norm
+            )
             for name in PARAM_NAMES:
                 getattr(model, name)[...] -= config.learning_rate * grads[name]
-        losses.append(sum(sample_loss(model, s) for s in train) / len(train))
+        losses.append(sample_loss(model, train))
     report = evaluate(model, test)
     report.train_losses = losses
     return model, report

@@ -432,6 +432,12 @@ class CampaignStore:
                 os.fsync(fh.fileno())
             self._fh.close()
             os.replace(tmp, self.path)
+            # the rename survives a crash only once its directory is synced
+            dir_fd = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
             self._fh = open(self.path, "ab")
 
     @staticmethod

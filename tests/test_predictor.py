@@ -21,6 +21,7 @@ from fuzztwin.predictor import (
     analytic_gradients,
     auc_pairs,
     auc_trapezoid,
+    batch_gradients,
     central_difference,
     cutoff_sweep,
     detection_time,
@@ -31,6 +32,7 @@ from fuzztwin.predictor import (
     max_relative_error,
     numeric_gradients,
     roc_curve,
+    sample_loss,
     truncate_indices,
 )
 from fuzztwin.store import ConnectionTrace
@@ -138,6 +140,124 @@ def test_corrupted_forget_gradient_is_detected():
     assert max_relative_error(analytic, numeric) > 1e-2
 
 
+def mixed_length_batch(n=12, seed=0, vocab=6):
+    """Length-10 sequences whose Duration cutoffs keep 1 to 10 states."""
+    rng = np.random.default_rng(seed)
+    samples = [
+        sample_of(
+            [int(v) for v in rng.integers(0, vocab, size=10)],
+            cutoff=Duration(0.01 * keep + 0.005),
+            label=int(rng.integers(0, 2)),
+        )
+        for keep in rng.integers(1, 11, size=n)
+    ]
+    assert {len(truncate_indices(s)) for s in samples} >= {1, 10}
+    return samples
+
+
+def loop_gradients(model, sample):
+    """Reference BPTT, one sample and one step at a time."""
+    hidden = model.hidden_dim
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    h, c, steps = np.zeros(hidden), np.zeros(hidden), []
+    for idx in truncate_indices(sample):
+        x = model.embedding[idx]
+        z = model.w_x @ x + model.w_h @ h + model.bias
+        i, f = sig(z[:hidden]), sig(z[hidden : 2 * hidden])
+        g, o = np.tanh(z[2 * hidden : 3 * hidden]), sig(z[3 * hidden :])
+        c_new = f * c + i * g
+        steps.append((idx, x, h, c, i, f, g, o, c_new))
+        h, c = o * np.tanh(c_new), c_new
+    d_logit = sig(model.w_out @ h + model.b_out[0]) - sample.label
+    grads = {name: np.zeros_like(v) for name, v in model.params().items()}
+    grads["w_out"] += d_logit * h
+    grads["b_out"] += d_logit
+    dh, dc = d_logit * model.w_out, np.zeros(hidden)
+    for idx, x, h_prev, c_prev, i, f, g, o, c_new in reversed(steps):
+        tanh_c = np.tanh(c_new)
+        dc = dc + dh * o * (1.0 - tanh_c**2)
+        dz = np.concatenate(
+            [dc * g * i * (1 - i), dc * c_prev * f * (1 - f), dc * i * (1 - g**2),
+             dh * tanh_c * o * (1 - o)]
+        )
+        grads["w_x"] += np.outer(dz, x)
+        grads["w_h"] += np.outer(dz, h_prev)
+        grads["bias"] += dz
+        grads["embedding"][idx] += model.w_x.T @ dz
+        dh, dc = model.w_h.T @ dz, dc * f
+    return grads
+
+
+def clipped(grads, clip_norm):
+    norm = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+    scale = clip_norm / norm if norm > clip_norm else 1.0
+    return {name: g * scale for name, g in grads.items()}, norm
+
+
+@pytest.mark.parametrize("clip_norm", [1e-3, 1e6])
+def test_batched_gradient_matches_per_sample_clipped_sum(clip_norm):
+    model = LstmModel.init(vocab_size=6, embed_dim=4, hidden_dim=5, seed=4)
+    batch = mixed_length_batch()
+    expected = {name: np.zeros_like(g) for name, g in model.params().items()}
+    norms = []
+    for s in batch:
+        reference = loop_gradients(model, s)
+        alone = analytic_gradients(model, s)  # the batched code on a batch of one
+        for name in expected:
+            assert np.max(np.abs(alone[name] - reference[name])) <= 1e-12
+        one, norm = clipped(reference, clip_norm)
+        norms.append(norm)
+        for name in expected:
+            expected[name] += one[name]
+    # the tiny bound clips every sample, the large one none
+    assert all(n > clip_norm for n in norms) or all(n < clip_norm for n in norms)
+    got = batch_gradients(model, batch, clip_norm)
+    for name in expected:
+        assert np.max(np.abs(got[name] - expected[name])) <= 1e-12
+
+
+@pytest.mark.parametrize("clip_norm", [0.0, 0.05])
+def test_padding_leaves_sample_gradient_unchanged(clip_norm):
+    model = LstmModel.init(vocab_size=6, embed_dim=4, hidden_dim=5, seed=5)
+    short = sample_of([3, 1], cutoff=Steps(2), label=1)
+    longer = [sample_of([0, 2, 4, 5, 1, 3, 2, 0], label=0), sample_of([5, 5, 1, 0, 4], label=1)]
+    alone = batch_gradients(model, [short], clip_norm)
+    padded = batch_gradients(model, [short] + longer, clip_norm)
+    rest = batch_gradients(model, longer, clip_norm)
+    for name in alone:
+        assert np.max(np.abs(padded[name] - rest[name] - alone[name])) <= 1e-12
+
+
+def test_batch_loss_is_mean_of_sample_losses():
+    model = LstmModel.init(vocab_size=6, seed=2)
+    batch = mixed_length_batch(seed=1)
+    singles = [sample_loss(model, s) for s in batch]
+    assert sample_loss(model, batch) == pytest.approx(float(np.mean(singles)), abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 9])
+def test_out_of_vocab_index_rejected_in_batches(bad):
+    model = LstmModel.init(vocab_size=4, seed=0)
+    batch = [sample_of([0, 1, 2, 3]), sample_of([1, bad, 2], label=0)]
+    with pytest.raises(IndexOutOfVocab):
+        lstm_forward(model, batch[1])
+    with pytest.raises(IndexOutOfVocab):
+        sample_loss(model, batch)
+    with pytest.raises(IndexOutOfVocab):
+        batch_gradients(model, batch, clip_norm=5.0)
+
+
+def test_empty_sequence_rejected_in_batches():
+    model = LstmModel.init(vocab_size=4, seed=0)
+    batch = [sample_of([0, 1, 2]), sample_of([1, 2], cutoff=Duration(0.0), label=0)]
+    with pytest.raises(EmptySequence):
+        sample_loss(model, batch)
+    with pytest.raises(EmptySequence):
+        batch_gradients(model, batch)
+    with pytest.raises(EmptySequence):
+        batch_gradients(model, [])
+
+
 # ---------------------------------------------------------------------------
 # ROC and AUC
 # ---------------------------------------------------------------------------
@@ -228,6 +348,7 @@ def test_training_is_bitwise_deterministic():
 
 
 def test_single_class_dataset_rejected():
+    assert SingleClassDataset is SingleClass
     dataset = [s for s in separable_toy(n=40, seed=2) if s.label == 1]
     with pytest.raises(SingleClassDataset):
         lstm_train(dataset, TrainConfig())

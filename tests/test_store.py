@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,32 @@ def test_compact_preserves_contents(tmp_path):
     assert reloaded.get_trace(tid) is not None
     assert reloaded.probabilities[("a", "b")].probability == 0.7
     reloaded.close()
+
+
+def test_compact_syncs_directory_after_replace(tmp_path, monkeypatch):
+    path = tmp_path / "z.fztw"
+    store = CampaignStore(path)
+    store.record_trace(make_trace(["a", "b"]))
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        events.append(("fsync", stat.S_ISDIR(info.st_mode), info.st_ino))
+        return real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", src, dst))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    store.compact()
+    store.close()
+    kinds = [e[0] for e in events]
+    assert "replace" in kinds
+    after = events[kinds.index("replace") + 1 :]
+    assert ("fsync", True, os.stat(tmp_path).st_ino) in after
 
 
 @given(

@@ -26,7 +26,7 @@ from . import analyzer as az
 from . import engine, predictor
 from .relay import PortBindFailure
 from .store import CampaignStore, CorruptRecord
-from .twin import TwinConfig, VulnerabilityProfile, identity_interceptor, run_handshake
+from .twin import TwinConfig, VulnerabilityProfile, identity_interceptor, run_socket_connection
 from .wire import MsgType
 
 EXIT_OK = 0
@@ -108,11 +108,13 @@ def load_profile(path: str | None, rnti: int) -> VulnerabilityProfile:
 
 def twin_config(settings: Settings) -> TwinConfig:
     return TwinConfig(
-        seed=settings.get("seed", 0, int),
-        rnti=settings.get("rnti", 0x4601, lambda v: int(v, 0)),
-        timeout=settings.get("timeout", 2.0, float),
-        retransmit_interval=settings.get("retransmit_interval", 0.1, float),
-        host=settings.get("host", "127.0.0.1", str),
+        seed=settings.get("seed", TwinConfig.seed, int),
+        rnti=settings.get("rnti", TwinConfig.rnti, lambda v: int(v, 0)),
+        timeout=settings.get("timeout", TwinConfig.timeout, float),
+        retransmit_interval=settings.get(
+            "retransmit_interval", TwinConfig.retransmit_interval, float
+        ),
+        host=settings.get("host", TwinConfig.host, str),
     )
 
 
@@ -153,13 +155,13 @@ def cmd_twin_run(settings: Settings) -> int:
     store = CampaignStore(store_path) if store_path else None
     ok = 0
     for k in range(count):
-        trace = run_handshake(
+        trace = run_socket_connection(
             config,
             profile,
             identity_interceptor if use_relay else None,
             store=store,
             relay_ports=ports,
-        )
+        ).trace
         ok += trace.outcome == "Success"
         print(f"handshake {k + 1}/{count}: {trace.outcome} ({len(trace.states)} states)")
     if store:
@@ -485,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fuzztwin", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("twin-run", help="run baseline handshakes on the built-in twin")
+    p = sub.add_parser(
+        "twin-run", help="run baseline handshakes on the built-in twin over loopback sockets"
+    )
     _add_common(p)
     p.add_argument("--handshakes", type=int, help="number of connections (default 1)")
     p.add_argument("--relay", action="store_const", const="true", help="route through the MITM relay (default)")

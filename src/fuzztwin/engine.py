@@ -10,9 +10,10 @@ proportionally to their remaining untested mass and the replacement within
 the row by its entry weight, without replacement, so a campaign terminates in
 at most n*(n-1) attempts.
 
-Campaigns run against either the socket twin (HandshakeTarget) or a
-simulated alphabet of commands with the same outcome rule (SimulatedTarget),
-which makes scaled scheduling experiments cheap.
+Campaigns run against either the twin (HandshakeTarget, on the in-process
+virtual-time transport) or a simulated alphabet of commands with the same
+outcome rule (SimulatedTarget), which makes scaled scheduling experiments
+cheap.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ class SimulatedTarget:
     Encodes the twin's observable rule for command replacement: a pair in
     the vulnerability profile fails the connection, anything else is ignored
     by the receiver and recovered by retransmission. Traces are synthesised
-    to the same shape the socket twin records.
+    to the same shape the twin records.
     """
 
     def __init__(self, commands, profile: VulnerabilityProfile, channel: str = "PDSCH",
@@ -353,7 +354,8 @@ def _blind_write(msg_type: MsgType, field_name: str, value: int) -> tuple[int, i
 
 
 class HandshakeTarget:
-    """Socket twin plus MITM relay as a campaign target."""
+    """Twin plus MITM relay as a campaign target, run in process on a
+    virtual clock (``twin.run_connection``)."""
 
     def __init__(self, config: TwinConfig, profile: VulnerabilityProfile | None = None,
                  store: CampaignStore | None = None):

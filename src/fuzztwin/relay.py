@@ -5,6 +5,8 @@ forwards it to the gNB on 2000; it listens for the gNB's downlink on 2002 and
 forwards it to the UE on 2001. Each direction is pumped by its own thread,
 preserving per-direction FIFO order. Every inbound frame is recorded together
 with the interceptor's decision; the relay never originates frames itself.
+The per-frame work of a leg is ``relay_frame``, which the twin's in-process
+transport calls directly, without sockets or threads.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def apply_mutation(frame: Frame, decision: ForwardDecision) -> Frame | None:
     raise ValueError(f"unknown decision kind {decision.kind!r}")
 
 
-def _bind_listener(host: str, port: int) -> socket.socket:
+def bind_listener(host: str, port: int) -> socket.socket:
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     try:
@@ -135,7 +137,7 @@ def _bind_listener(host: str, port: int) -> socket.socket:
     return sock
 
 
-def _dial(host: str, port: int, timeout: float) -> socket.socket:
+def dial(host: str, port: int, timeout: float) -> socket.socket:
     deadline = time.monotonic() + timeout
     while True:
         try:
@@ -148,13 +150,38 @@ def _dial(host: str, port: int, timeout: float) -> socket.socket:
             time.sleep(0.005)
 
 
+def relay_frame(frame: Frame, interceptor, sink, report: RelayReport) -> Frame | None:
+    """One frame through a relay leg: the interceptor's decision, the
+    mutation, the record sink and the report counts.
+
+    Returns the frame to forward, or None for a drop. Both transports run
+    every relayed frame through here.
+    """
+    decision = interceptor(frame)
+    outgoing = apply_mutation(frame, decision)
+    if sink is not None:
+        forwarded = outgoing.raw if outgoing is not None else None
+        sink(RelayEvent(frame.direction, frame, decision, forwarded))
+    if frame.direction is Direction.UPLINK:
+        report.uplink_frames += 1
+    else:
+        report.downlink_frames += 1
+    if decision.kind == "drop":
+        report.dropped += 1
+    elif decision.kind == "replace":
+        report.replaced += 1
+    elif decision.kind == "mutate_bits":
+        report.mutated += 1
+    return outgoing
+
+
 def _pump(
     direction: Direction,
     src: socket.socket,
     dst: socket.socket,
     interceptor,
     sink,
-    sink_lock: threading.Lock,
+    lock: threading.Lock,
     report: RelayReport,
     stop_event: threading.Event,
 ) -> None:
@@ -170,23 +197,10 @@ def _pump(
         if not data:
             break  # peer closed: graceful shutdown of this leg
         for frame in decoder.feed(data):
-            decision = interceptor(frame)
-            outgoing = apply_mutation(frame, decision)
-            forwarded = outgoing.raw if outgoing is not None else None
-            if sink is not None:
-                with sink_lock:  # single-writer record stream
-                    sink(RelayEvent(direction, frame, decision, forwarded))
-            if direction is Direction.UPLINK:
-                report.uplink_frames += 1
-            else:
-                report.downlink_frames += 1
-            if decision.kind == "drop":
-                report.dropped += 1
+            with lock:  # one leg at a time: single-writer record stream and report
+                outgoing = relay_frame(frame, interceptor, sink, report)
+            if outgoing is None:
                 continue
-            if decision.kind == "replace":
-                report.replaced += 1
-            elif decision.kind == "mutate_bits":
-                report.mutated += 1
             try:
                 dst.sendall(frame_to_stream(outgoing))
             except OSError:
@@ -220,12 +234,12 @@ def run_relay(
 
     own_listeners = listeners is None
     if own_listeners:
-        ul_listener = _bind_listener(config.host, config.ue_listen_port)
-        dl_listener = _bind_listener(config.host, config.gnb_listen_port)
+        ul_listener = bind_listener(config.host, config.ue_listen_port)
+        dl_listener = bind_listener(config.host, config.gnb_listen_port)
     else:
         ul_listener, dl_listener = listeners
 
-    sink_lock = threading.Lock()
+    lock = threading.Lock()
     try:
         ul_listener.settimeout(connect_timeout)
         dl_listener.settimeout(connect_timeout)
@@ -236,15 +250,15 @@ def run_relay(
             raise PeerDisconnected("twin endpoints never connected") from exc
         ue_side.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         gnb_side_dl.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        gnb_side_ul = _dial(config.host, config.gnb_forward_port, connect_timeout)
-        ue_side_dl = _dial(config.host, config.ue_forward_port, connect_timeout)
+        gnb_side_ul = dial(config.host, config.gnb_forward_port, connect_timeout)
+        ue_side_dl = dial(config.host, config.ue_forward_port, connect_timeout)
 
         pumps = [
             threading.Thread(
                 target=_pump,
                 args=(
                     Direction.UPLINK, ue_side, gnb_side_ul,
-                    interceptor, config.record_sink, sink_lock, report, stop_event,
+                    interceptor, config.record_sink, lock, report, stop_event,
                 ),
                 daemon=True,
                 name="relay-uplink",
@@ -253,7 +267,7 @@ def run_relay(
                 target=_pump,
                 args=(
                     Direction.DOWNLINK, gnb_side_dl, ue_side_dl,
-                    interceptor, config.record_sink, sink_lock, report, stop_event,
+                    interceptor, config.record_sink, lock, report, stop_event,
                 ),
                 daemon=True,
                 name="relay-downlink",

@@ -1,10 +1,21 @@
-"""Simulated UE and gNB endpoints speaking the handshake over stream sockets.
+"""Simulated UE and gNB endpoints and the two transports that connect them.
 
 The connection walks a fixed nine-message exchange (setup, security mode,
 capability, reconfiguration), after which the gNB emits a ConnectionComplete
 marker frame. Transition logic is pure: ``ue_step``/``gnb_step`` map
-(state, event) to (state, outgoing messages) and the socket runners only do
-codec and I/O around them.
+(state, event) to (state, outgoing messages), and ``Endpoint`` adds the
+codec, the retransmit cache and the liveness stamp around them, without I/O.
+
+Two transports drive a pair of endpoints, optionally through the MITM relay
+leg (``relay.relay_frame``):
+
+* ``run_connection`` runs in process on a virtual clock: a FIFO event queue
+  with no link delay, and retransmit and liveness timers counted in virtual
+  seconds, so a connection never sleeps and the same seed gives the same
+  trace. Campaign targets use it.
+* ``run_socket_connection`` runs the same endpoints in threads over loopback
+  TCP, with a relay thread and wall-clock timers; ``twin-run`` and the
+  pinned relay ports use it.
 
 Unexpected-but-legal messages model the fuzz surface: if the pair
 (expected command, received command) is listed in the active
@@ -12,21 +23,30 @@ VulnerabilityProfile the endpoint fails the connection, otherwise the message
 is ignored and the peer's retransmit timer recovers the handshake. Frames
 that fail the integrity check always fail the connection.
 
-Trace timestamps are virtual (a fixed tick per observed frame) so that runs
-with the same seed are byte-identical; wall-clock time is used only for
-liveness timeouts.
+Trace timestamps are virtual on both transports (a fixed tick per observed
+frame), so they never depend on how long the transport took.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from . import wire
-from .relay import ForwardDecision, PortBindFailure, RelayConfig, run_relay
+from .relay import (
+    ForwardDecision,
+    RelayConfig,
+    RelayReport,
+    bind_listener,
+    dial,
+    relay_frame,
+    run_relay,
+)
 from .store import ActionRow, ConnectionTrace, FuzzActionRecord, StateRow
 from .wire import (
     CHANNEL_PHYSICAL,
@@ -179,8 +199,10 @@ class TwinConfig:
     seed: int = 0
     rnti: int = 0x4601
     session_key: int | None = None
-    timeout: float = 2.0  # wall-clock liveness bound per connection
-    retransmit_interval: float = 0.25
+    # liveness bound per connection and retransmit period: virtual seconds
+    # in process (run_connection), wall-clock seconds on sockets
+    timeout: float = 2.0
+    retransmit_interval: float = 0.1
     tick_ns: int = 10_000_000  # virtual time per observed frame
     host: str = "127.0.0.1"
     params: TwinParams = field(default_factory=TwinParams)
@@ -458,46 +480,36 @@ class TraceRecorder:
 
 
 # ---------------------------------------------------------------------------
-# socket endpoints
+# endpoint core
 # ---------------------------------------------------------------------------
 
 
-def _recv_loop_socket(sock: socket.socket, poll: float):
-    sock.settimeout(poll)
-    try:
-        return sock.recv(65536)
-    except socket.timeout:
-        return None
-    except OSError:
-        return b""
+class Endpoint:
+    """One endpoint's protocol logic: codec, pure steps, retransmission.
 
-
-class EndpointRunner(threading.Thread):
-    """Event loop for one endpoint: codec, retransmission, pure steps."""
+    No I/O and no threads: ``send`` takes each outgoing Frame and ``now``
+    reads the transport's clock (virtual nanoseconds in process, wall-clock
+    seconds on sockets). ``last_progress`` is the liveness stamp the
+    transport's retransmit timer counts from; sends and receives reset it.
+    """
 
     def __init__(
         self,
         role: str,
         config: TwinConfig,
         profile: VulnerabilityProfile,
-        rx_sock: socket.socket,
-        tx_sock: socket.socket,
         recorder: TraceRecorder,
         record_inbound: bool,
-        stop_event: threading.Event,
-        failure_event: threading.Event,
+        send,
+        now,
         message_hook=None,
     ):
-        super().__init__(daemon=True, name=f"twin-{role.lower()}")
         self.role = role
-        self.config = config
         self.profile = profile
-        self.rx_sock = rx_sock
-        self.tx_sock = tx_sock
         self.recorder = recorder
         self.record_inbound = record_inbound
-        self.stop_event = stop_event
-        self.failure_event = failure_event
+        self.send = send
+        self.now = now
         self.message_hook = message_hook
         self.state = EndpointState(
             role=role,
@@ -506,17 +518,10 @@ class EndpointRunner(threading.Thread):
             security=SecurityContext(session_key=config.resolved_session_key()),
         )
         self.sent_connection_complete = False
-        self._decoder = wire.StreamDecoder(
-            Direction.UPLINK if role == GNB else Direction.DOWNLINK
-        )
-        self._last_sent: list[bytes] = []
-        self._last_progress = time.monotonic()
-        self._ctx = self.state.security  # runner-owned counters
-
-    # -- helpers ---------------------------------------------------------
-
-    def _direction_out(self) -> Direction:
-        return Direction.UPLINK if self.role == UE else Direction.DOWNLINK
+        self.direction_out = Direction.UPLINK if role == UE else Direction.DOWNLINK
+        self._last_sent: list[Frame] = []
+        self.last_progress = now()
+        self._ctx = self.state.security  # endpoint-owned counters
 
     def _send_messages(self, msgs) -> None:
         for msg in msgs:
@@ -525,31 +530,30 @@ class EndpointRunner(threading.Thread):
                 if hooked is not None and hooked != msg:
                     self.recorder.mark_fuzz()
                     msg = hooked
-            frame = wire.encode_message(msg, self._ctx, self._direction_out())
+            frame = wire.encode_message(msg, self._ctx, self.direction_out)
             if wire._is_ciphered(msg.msg_type, self._ctx):
-                self._ctx.bump(self._direction_out())
-            payload = wire.frame_to_stream(frame)
+                self._ctx.bump(self.direction_out)
             try:
-                self.tx_sock.sendall(payload)
+                self.send(frame)
             except OSError:
                 return
-            self._last_sent = [payload]
+            self._last_sent = [frame]
             if msg.msg_type is MsgType.CONNECTION_COMPLETE:
                 self.sent_connection_complete = True
 
     def _retransmit(self) -> None:
         if self.state.phase in (CONNECTED, FAILED):
             return
-        for payload in self._last_sent:
+        for frame in self._last_sent:
             try:
-                self.tx_sock.sendall(payload)
+                self.send(frame)
             except OSError:
                 return
 
     def _apply(self, event) -> None:
         step = ue_step if self.role == UE else gnb_step
         new_state, msgs = step(self.state, event, self.profile)
-        # keep runner-owned counters: transition may have replaced the context
+        # keep endpoint-owned counters: transition may have replaced the context
         if new_state.security is not self.state.security:
             fresh = new_state.security
             fresh.ul_counter = self._ctx.ul_counter
@@ -558,9 +562,7 @@ class EndpointRunner(threading.Thread):
         self.state = new_state
         if msgs:
             self._send_messages(msgs)
-            self._last_progress = time.monotonic()
-        if self.state.phase == FAILED:
-            self.failure_event.set()
+            self.last_progress = self.now()
 
     def _handle_frame(self, frame: Frame) -> None:
         if self.record_inbound:
@@ -570,7 +572,6 @@ class EndpointRunner(threading.Thread):
         except IntegrityError:
             # modified on the wire: treat as an attack
             self.state = replace(self.state, phase=FAILED, failure_reason="integrity")
-            self.failure_event.set()
             return
         except MalformedFrame:
             return
@@ -593,76 +594,30 @@ class EndpointRunner(threading.Thread):
         ghost = Message(msg_type=msg_type, rnti=rnti, transaction_id=tid, fields={})
         self._apply(IncomingFrame(ghost))
 
-    def _finished(self) -> bool:
-        if self.state.phase == FAILED:
+    # -- what a transport drives ------------------------------------------
+
+    def start(self) -> None:
+        self._apply(Start())
+
+    def receive(self, frame: Frame) -> None:
+        self._handle_frame(frame)
+        self.last_progress = self.now()
+
+    def timer_expired(self) -> None:
+        self._apply(TimerExpired())
+        self._retransmit()
+        self.last_progress = self.now()
+
+    @property
+    def failed(self) -> bool:
+        return self.state.phase == FAILED
+
+    def finished(self) -> bool:
+        if self.failed:
             return True
         if self.role == GNB:
             return self.state.phase == CONNECTED and self.sent_connection_complete
         return self.state.phase == CONNECTED and self.state.saw_connection_complete
-
-    # -- main loop -------------------------------------------------------
-
-    def run(self) -> None:
-        try:
-            if self.role == UE:
-                self._apply(Start())
-            while not self.stop_event.is_set() and not self._finished():
-                data = _recv_loop_socket(self.rx_sock, poll=0.005)
-                if data == b"":
-                    break  # peer closed
-                if data:
-                    for frame in self._decoder.feed(data):
-                        self._handle_frame(frame)
-                        if self._finished():
-                            break
-                    self._last_progress = time.monotonic()
-                elif time.monotonic() - self._last_progress > self.config.retransmit_interval:
-                    self._apply(TimerExpired())
-                    self._retransmit()
-                    self._last_progress = time.monotonic()
-        finally:
-            for sock in (self.rx_sock, self.tx_sock):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-
-
-# ---------------------------------------------------------------------------
-# orchestration
-# ---------------------------------------------------------------------------
-
-
-def _listener(host: str, port: int) -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    try:
-        sock.bind((host, port))
-    except OSError as exc:
-        sock.close()
-        raise PortBindFailure(f"cannot bind {host}:{port}: {exc}") from exc
-    sock.listen(2)
-    return sock
-
-
-def _accept(listener: socket.socket, timeout: float) -> socket.socket:
-    listener.settimeout(timeout)
-    conn, _ = listener.accept()
-    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return conn
-
-
-def _dial(host: str, port: int, timeout: float) -> socket.socket:
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            sock = socket.create_connection((host, port), timeout=0.5)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return sock
-        except OSError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.005)
 
 
 class _RecorderSink:
@@ -691,6 +646,29 @@ class HandshakeResult:
     ue_state: EndpointState
     gnb_state: EndpointState
     relay_events: list
+    relay_report: RelayReport | None = None  # None when the endpoints talk directly
+
+
+def _result(recorder, fuzz_action, store, ue: Endpoint, gnb: Endpoint, sink, report):
+    """Outcome, trace and store rows of a finished connection, either transport."""
+    success = gnb.state.phase == CONNECTED and gnb.sent_connection_complete
+    trace = recorder.to_trace(SUCCESS if success else FAILED_OUTCOME, fuzz_action=fuzz_action)
+    if store is not None:
+        trace_id = store.record_trace(trace)
+        recorder.persist_rows(store, trace_id)
+        trace = replace(trace, trace_id=trace_id)
+    return HandshakeResult(
+        trace=trace,
+        ue_state=ue.state,
+        gnb_state=gnb.state,
+        relay_events=sink.events,
+        relay_report=report,
+    )
+
+
+# ---------------------------------------------------------------------------
+# in-process transport (virtual clock)
+# ---------------------------------------------------------------------------
 
 
 def run_connection(
@@ -702,16 +680,172 @@ def run_connection(
     fuzz_action: FuzzActionRecord | None = None,
     ue_hook=None,
     gnb_hook=None,
+) -> HandshakeResult:
+    """Drive one UE/gNB connection attempt in process, on a virtual clock.
+
+    With ``interceptor=None`` the endpoints talk directly; otherwise every
+    frame goes through the MITM relay leg and the interceptor.
+    ``ue_hook``/``gnb_hook`` rewrite outgoing messages before encoding, the
+    white-box injection point for before-encryption fuzzing. Outcome is
+    Success iff the gNB emits ConnectionComplete within ``config.timeout``
+    virtual seconds.
+
+    Clock rules: frames are delivered FIFO with no delay, and a delivery
+    resets the receiver's progress stamp as a send resets the sender's.
+    When no frame is in flight the clock jumps to the earliest due
+    retransmit timer, and every timer due at that instant fires (UE, then
+    gNB) before any delivery. The run stops on a failure, when both
+    endpoints have finished, or when the next timer lies beyond the timeout.
+    """
+    if not (math.isfinite(config.retransmit_interval) and math.isfinite(config.timeout)):
+        raise ValueError("retransmit_interval and timeout must be finite")
+    interval = round(config.retransmit_interval * 1e9)
+    timeout = round(config.timeout * 1e9)
+    if interval < 1:
+        # a zero-length interval would never move the clock towards the timeout
+        raise ValueError("retransmit_interval must be at least 1 ns")
+    profile = profile or VulnerabilityProfile.empty()
+    recorder = TraceRecorder(tick_ns=config.tick_ns)
+    sink = _RecorderSink(recorder)
+    report = RelayReport() if interceptor is not None else None
+    clock = 0  # virtual ns; integer so that simultaneous timers compare equal
+    in_flight: deque[Frame] = deque()
+
+    def now() -> int:
+        return clock
+
+    record_inbound = report is None
+    gnb = Endpoint(GNB, config, profile, recorder, record_inbound, in_flight.append, now,
+                   message_hook=gnb_hook)
+    ue = Endpoint(UE, config, profile, recorder, record_inbound, in_flight.append, now,
+                  message_hook=ue_hook)
+    endpoints = (ue, gnb)  # timer order
+    ue.start()
+    while not (ue.failed or gnb.failed) and not (ue.finished() and gnb.finished()):
+        if in_flight:
+            frame = in_flight.popleft()
+            if report is not None:
+                frame = relay_frame(frame, interceptor, sink, report)
+                if frame is None:
+                    continue
+            (gnb if frame.direction is Direction.UPLINK else ue).receive(frame)
+            continue
+        live = [ep for ep in endpoints if not ep.finished()]
+        due = min(ep.last_progress for ep in live) + interval
+        if due > timeout:
+            break
+        clock = due
+        for ep in live:
+            if ep.last_progress + interval <= clock:
+                ep.timer_expired()
+    return _result(recorder, fuzz_action, store, ue, gnb, sink, report)
+
+
+def run_handshake(
+    config: TwinConfig,
+    profile: VulnerabilityProfile | None = None,
+    interceptor=None,
+    **kwargs,
+) -> ConnectionTrace:
+    """run_connection, reduced to the recorded trace."""
+    return run_connection(config, profile, interceptor, **kwargs).trace
+
+
+# ---------------------------------------------------------------------------
+# socket transport (wall clock)
+# ---------------------------------------------------------------------------
+
+
+def _recv_loop_socket(sock: socket.socket, poll: float):
+    sock.settimeout(poll)
+    try:
+        return sock.recv(65536)
+    except socket.timeout:
+        return None
+    except OSError:
+        return b""
+
+
+class SocketEndpoint(threading.Thread):
+    """Socket I/O and the wall-clock retransmit timer around one Endpoint."""
+
+    def __init__(
+        self,
+        role: str,
+        config: TwinConfig,
+        profile: VulnerabilityProfile,
+        rx_sock: socket.socket,
+        tx_sock: socket.socket,
+        recorder: TraceRecorder,
+        record_inbound: bool,
+        stop_event: threading.Event,
+        failure_event: threading.Event,
+        message_hook=None,
+    ):
+        super().__init__(daemon=True, name=f"twin-{role.lower()}")
+        self.config = config
+        self.rx_sock = rx_sock
+        self.stop_event = stop_event
+        self.failure_event = failure_event
+        self.endpoint = Endpoint(
+            role, config, profile, recorder, record_inbound,
+            lambda frame: tx_sock.sendall(wire.frame_to_stream(frame)),
+            time.monotonic, message_hook=message_hook,
+        )
+        self._socks = (rx_sock, tx_sock)
+        self._decoder = wire.StreamDecoder(
+            Direction.UPLINK if role == GNB else Direction.DOWNLINK
+        )
+
+    def run(self) -> None:
+        ep = self.endpoint
+        try:
+            if ep.role == UE:
+                ep.start()
+            while not self.stop_event.is_set() and not ep.finished():
+                data = _recv_loop_socket(self.rx_sock, poll=0.005)
+                if data == b"":
+                    break  # peer closed
+                if data:
+                    for frame in self._decoder.feed(data):
+                        ep.receive(frame)
+                        if ep.finished():
+                            break
+                elif time.monotonic() - ep.last_progress > self.config.retransmit_interval:
+                    ep.timer_expired()
+                if ep.failed:
+                    self.failure_event.set()
+        finally:
+            for sock in self._socks:
+                try:
+                    sock.close()
+                except OSError:
+                    pass
+
+
+def _accept(listener: socket.socket, timeout: float) -> socket.socket:
+    listener.settimeout(timeout)
+    conn, _ = listener.accept()
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return conn
+
+
+def run_socket_connection(
+    config: TwinConfig,
+    profile: VulnerabilityProfile | None = None,
+    interceptor=None,
+    *,
+    store=None,
+    fuzz_action: FuzzActionRecord | None = None,
+    ue_hook=None,
+    gnb_hook=None,
     relay_ports: RelayConfig | None = None,
 ) -> HandshakeResult:
-    """Drive one UE/gNB connection attempt to completion or timeout.
+    """run_connection over loopback TCP: endpoint and relay threads, and
+    ``config.timeout``/``retransmit_interval`` in wall-clock seconds.
 
-    With ``interceptor=None`` the endpoints talk directly; otherwise a MITM
-    relay is placed between them and every frame goes through the
-    interceptor. ``ue_hook``/``gnb_hook`` rewrite outgoing messages before
-    encoding, the white-box injection point for before-encryption fuzzing.
-    Outcome is Success iff the gNB emits ConnectionComplete within the
-    timeout.
+    ``relay_ports`` pins the four-port deployment topology; by default every
+    port is ephemeral.
     """
     profile = profile or VulnerabilityProfile.empty()
     recorder = TraceRecorder(tick_ns=config.tick_ns)
@@ -723,8 +857,8 @@ def run_connection(
     # relay_ports reproduces the deployment topology exactly: the endpoints
     # listen on the forward ports, the relay on the listen ports; port 0
     # (the default) picks ephemeral ports for hermetic runs
-    gnb_listener = _listener(host, relay_ports.gnb_forward_port if relay_ports else 0)
-    ue_listener = _listener(host, relay_ports.ue_forward_port if relay_ports else 0)
+    gnb_listener = bind_listener(host, relay_ports.gnb_forward_port if relay_ports else 0)
+    ue_listener = bind_listener(host, relay_ports.ue_forward_port if relay_ports else 0)
     gnb_port = gnb_listener.getsockname()[1]
     ue_port = ue_listener.getsockname()[1]
 
@@ -732,32 +866,32 @@ def run_connection(
     sink = _RecorderSink(recorder)
     relay_thread = None
     relay_listeners = ()
+    reports = []  # the relay thread's RelayReport
     try:
         if use_relay:
-            relay_ul_listener = _listener(host, relay_ports.ue_listen_port if relay_ports else 0)
-            relay_dl_listener = _listener(host, relay_ports.gnb_listen_port if relay_ports else 0)
+            relay_ul_listener = bind_listener(host, relay_ports.ue_listen_port if relay_ports else 0)
+            relay_dl_listener = bind_listener(host, relay_ports.gnb_listen_port if relay_ports else 0)
             relay_listeners = (relay_ul_listener, relay_dl_listener)
             relay_ul_port = relay_ul_listener.getsockname()[1]
             relay_dl_port = relay_dl_listener.getsockname()[1]
+            relay_config = RelayConfig(
+                host=host,
+                ue_listen_port=relay_ul_port,
+                gnb_forward_port=gnb_port,
+                gnb_listen_port=relay_dl_port,
+                ue_forward_port=ue_port,
+                record_sink=sink,
+            )
 
-            relay_thread = threading.Thread(
-                target=run_relay,
-                kwargs=dict(
-                    config=RelayConfig(
-                        host=host,
-                        ue_listen_port=relay_ul_port,
-                        gnb_forward_port=gnb_port,
-                        gnb_listen_port=relay_dl_port,
-                        ue_forward_port=ue_port,
-                        record_sink=sink,
-                    ),
+            def relay_body():
+                reports.append(run_relay(
+                    config=relay_config,
                     interceptor=interceptor,
                     listeners=relay_listeners,
                     stop_event=stop_event,
-                ),
-                daemon=True,
-                name="twin-relay",
-            )
+                ))
+
+            relay_thread = threading.Thread(target=relay_body, daemon=True, name="twin-relay")
             relay_thread.start()
             ue_tx_port, gnb_tx_port = relay_ul_port, relay_dl_port
         else:
@@ -766,17 +900,17 @@ def run_connection(
         # dials complete against the listen backlog, so dial both legs first
         # and accept afterwards: no ordering deadlock in either mode
         accept_timeout = max(config.timeout, 2.0)
-        ue_tx = _dial(host, ue_tx_port, accept_timeout)
-        gnb_tx = _dial(host, gnb_tx_port, accept_timeout)
+        ue_tx = dial(host, ue_tx_port, accept_timeout)
+        gnb_tx = dial(host, gnb_tx_port, accept_timeout)
         gnb_rx = _accept(gnb_listener, accept_timeout)
         ue_rx = _accept(ue_listener, accept_timeout)
 
         record_inbound = not use_relay
-        gnb_runner = EndpointRunner(
+        gnb_runner = SocketEndpoint(
             GNB, config, profile, gnb_rx, gnb_tx, recorder, record_inbound,
             stop_event, failure_event, message_hook=gnb_hook,
         )
-        ue_runner = EndpointRunner(
+        ue_runner = SocketEndpoint(
             UE, config, profile, ue_rx, ue_tx, recorder, record_inbound,
             stop_event, failure_event, message_hook=ue_hook,
         )
@@ -795,10 +929,6 @@ def run_connection(
         stop_event.set()
         for t in threads:
             t.join(timeout=1.0)
-        success = (
-            gnb_runner.state.phase == CONNECTED and gnb_runner.sent_connection_complete
-        )
-        outcome = SUCCESS if success else FAILED_OUTCOME
     finally:
         stop_event.set()
         for sock in (gnb_listener, ue_listener, *relay_listeners):
@@ -809,27 +939,11 @@ def run_connection(
         if relay_thread is not None:
             relay_thread.join(timeout=1.0)
 
-    trace = recorder.to_trace(outcome, fuzz_action=fuzz_action)
-    if store is not None:
-        trace_id = store.record_trace(trace)
-        recorder.persist_rows(store, trace_id)
-        trace = replace(trace, trace_id=trace_id)
-    return HandshakeResult(
-        trace=trace,
-        ue_state=ue_runner.state,
-        gnb_state=gnb_runner.state,
-        relay_events=sink.events,
-    )
-
-
-def run_handshake(
-    config: TwinConfig,
-    profile: VulnerabilityProfile | None = None,
-    interceptor=None,
-    **kwargs,
-) -> ConnectionTrace:
-    """run_connection, reduced to the recorded trace."""
-    return run_connection(config, profile, interceptor, **kwargs).trace
+    report = None
+    if use_relay:
+        report = reports[0] if reports else RelayReport(errors=["relay ended without a report"])
+    return _result(recorder, fuzz_action, store, ue_runner.endpoint, gnb_runner.endpoint,
+                   sink, report)
 
 
 def identity_interceptor(frame: Frame) -> ForwardDecision:

@@ -172,10 +172,12 @@ def test_config_file_rejects_malformed_lines(tmp_path):
 
 
 def test_twin_run_on_pinned_relay_ports(capsys):
-    # the four-port deployment topology, on high ports to avoid clashes
+    # the four-port deployment topology, on ports below Linux's ephemeral
+    # range (32768-60999) and IANA's (49152-65535), so that no client
+    # socket of an earlier test can hold one of them
     code = run(
-        "twin-run", "--seed", 2, "--ue-listen", 42003, "--gnb-forward", 42000,
-        "--gnb-listen", 42002, "--ue-forward", 42001,
+        "twin-run", "--seed", 2, "--ue-listen", 24203, "--gnb-forward", 24200,
+        "--gnb-listen", 24202, "--ue-forward", 24201,
     )
     assert code == EXIT_OK
     assert "1/1 connections completed" in capsys.readouterr().out

@@ -1,10 +1,14 @@
 """Strategy engines: pools, probability scheduling, bit-level enumeration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzztwin import engine, twin
+from fuzztwin.cli import DEFAULT_PROFILE_TYPE_PAIRS
 from fuzztwin.engine import (
     FAILED,
     SUCCESS,
@@ -338,7 +342,7 @@ def test_soal_apply_after_encryption_leaves_checksum_stale():
 
 
 # ---------------------------------------------------------------------------
-# socket-twin campaigns
+# twin campaigns
 # ---------------------------------------------------------------------------
 
 DOWNLINK_PROFILE_PAIRS = [
@@ -349,7 +353,7 @@ DOWNLINK_PROFILE_PAIRS = [
 
 @pytest.fixture(scope="module")
 def socket_lal_outcomes():
-    """Full downlink LAL run on the real twin, shared across assertions."""
+    """Full downlink LAL run on the twin, shared across assertions."""
     config = TwinConfig(seed=21, retransmit_interval=0.05, timeout=2.0)
     profile = VulnerabilityProfile.from_type_pairs(DOWNLINK_PROFILE_PAIRS, config.rnti)
     target = HandshakeTarget(config, profile)
@@ -358,6 +362,41 @@ def socket_lal_outcomes():
         target.pool, budget=1000, seed=1, target=target, channels=("PDSCH",)
     )
     return config, profile, result
+
+
+def pool_outcomes(config, profile):
+    """Outcome of replacing every same-channel pool pair, by pair, on
+    whichever transport ``engine.run_connection`` is."""
+    target = HandshakeTarget(config, profile)
+    target.bootstrap()
+    return {
+        (a, b): target.attempt_command_replace(a, b)
+        for a, b in target.pool.replacement_pairs()
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_loopback_and_socket_outcomes_agree_on_every_pool_pair(seed, monkeypatch):
+    """The in-process transport reproduces the socket twin's outcome on every
+    pool pair of both channels, and repeats its own traces exactly.
+
+    The socket side gets three times the timeout in wall-clock seconds, so a
+    loaded machine does not turn a slow Success into a Failed; a case that
+    gives up too early in virtual time still disagrees.
+    """
+    config = TwinConfig(seed=seed, timeout=0.5, retransmit_interval=0.05)
+    profile = VulnerabilityProfile.from_type_pairs(DEFAULT_PROFILE_TYPE_PAIRS, config.rnti)
+    loopback = pool_outcomes(config, profile)
+    rerun = pool_outcomes(config, profile)
+    monkeypatch.setattr(engine, "run_connection", twin.run_socket_connection)
+    sockets = pool_outcomes(replace(config, timeout=3 * config.timeout), profile)
+
+    assert {a.split(":")[0] for a, _ in loopback} == {"PDSCH", "PUSCH"}
+    assert len(loopback) == 4 * 3 + 5 * 4
+    assert sockets.keys() == loopback.keys()
+    for pair, trace in loopback.items():
+        assert trace.outcome == sockets[pair].outcome, pair
+        assert trace.content_hash() == rerun[pair].content_hash(), pair
 
 
 def test_lal_requires_observations():

@@ -13,7 +13,8 @@ from fuzztwin.twin import (
     VulnerabilityProfile,
     derive_state_id,
     identity_interceptor,
-    run_handshake,
+    run_connection,
+    run_socket_connection,
     state_id_for,
 )
 from fuzztwin.wire import Direction, Message, MsgType, SecurityContext, encode_message
@@ -83,28 +84,34 @@ class Recording:
         return decision
 
 
+# each scenario runs on the in-process transport and on loopback sockets
+TRANSPORTS = (run_connection, run_socket_connection)
+
+
 def test_identity_relay_is_transparent():
     config = TwinConfig(seed=9)
-    direct = run_handshake(config)
-    rec = Recording()
-    relayed = run_handshake(config, interceptor=rec)
-    assert relayed.outcome == direct.outcome == "Success"
-    assert relayed.state_sequence() == direct.state_sequence()
-    # per-direction FIFO: uplink and downlink sequences preserved in order
-    uplink = [raw for d, raw, _ in rec.seen if d is Direction.UPLINK]
-    downlink = [raw for d, raw, _ in rec.seen if d is Direction.DOWNLINK]
-    assert len(uplink) == 5 and len(downlink) == 5
+    for connect in TRANSPORTS:
+        direct = connect(config).trace
+        rec = Recording()
+        relayed = connect(config, None, rec).trace
+        assert relayed.outcome == direct.outcome == "Success", connect.__name__
+        assert relayed.state_sequence() == direct.state_sequence(), connect.__name__
+        # per-direction FIFO: uplink and downlink sequences preserved in order
+        uplink = [raw for d, raw, _ in rec.seen if d is Direction.UPLINK]
+        downlink = [raw for d, raw, _ in rec.seen if d is Direction.DOWNLINK]
+        assert len(uplink) == 5 and len(downlink) == 5, connect.__name__
 
 
 def test_every_frame_recorded_exactly_once_with_decision():
     config = TwinConfig(seed=4)
-    rec = Recording()
-    trace = run_handshake(config, interceptor=rec)
-    assert trace.outcome == "Success"
-    # 10 transits, every one recorded with its decision
-    assert len(rec.seen) == 10
-    assert {kind for _, _, kind in rec.seen} == {"pass"}
-    assert len(trace.states) == 10
+    for connect in TRANSPORTS:
+        rec = Recording()
+        trace = connect(config, None, rec).trace
+        assert trace.outcome == "Success", connect.__name__
+        # 10 transits, every one recorded with its decision
+        assert len(rec.seen) == 10, connect.__name__
+        assert {kind for _, _, kind in rec.seen} == {"pass"}, connect.__name__
+        assert len(trace.states) == 10, connect.__name__
 
 
 def test_drop_all_downlink_starves_ue():
@@ -115,8 +122,9 @@ def test_drop_all_downlink_starves_ue():
             return ForwardDecision.drop()
         return ForwardDecision.pass_()
 
-    trace = run_handshake(config, interceptor=drop_downlink)
-    assert trace.outcome == "Failed"
+    for connect in TRANSPORTS:
+        trace = connect(config, None, drop_downlink).trace
+        assert trace.outcome == "Failed", connect.__name__
 
 
 def test_uplink_b_to_d_replacement_fails_connection():
@@ -130,29 +138,31 @@ def test_uplink_b_to_d_replacement_fails_connection():
         ],
         config.rnti,
     )
-    recorded = {}
-
-    def capture(frame):
-        recorded.setdefault(derive_state_id(frame), frame)
-        return ForwardDecision.pass_()
-
-    run_handshake(config, interceptor=capture)
-    smc = recorded[state_id_for(MsgType.SECURITY_MODE_COMPLETE, config.rnti)]
     target = state_id_for(MsgType.RRC_SETUP_COMPLETE, config.rnti)
 
-    class ReplaceB:
-        fuzzed = False
+    for connect in TRANSPORTS:
+        recorded = {}
 
-        def __call__(self, frame):
-            if not self.fuzzed and derive_state_id(frame) == target:
-                self.fuzzed = True
-                return ForwardDecision.replace(smc)
+        def capture(frame):
+            recorded.setdefault(derive_state_id(frame), frame)
             return ForwardDecision.pass_()
 
-    trace = run_handshake(config, profile=profile, interceptor=ReplaceB())
-    assert trace.outcome == "Failed"
-    # the injected D appears in the trace where B would have been
-    assert state_id_for(MsgType.SECURITY_MODE_COMPLETE, config.rnti) in trace.state_sequence()
+        connect(config, None, capture)
+        smc = recorded[state_id_for(MsgType.SECURITY_MODE_COMPLETE, config.rnti)]
+
+        class ReplaceB:
+            fuzzed = False
+
+            def __call__(self, frame):
+                if not self.fuzzed and derive_state_id(frame) == target:
+                    self.fuzzed = True
+                    return ForwardDecision.replace(smc)
+                return ForwardDecision.pass_()
+
+        trace = connect(config, profile, ReplaceB()).trace
+        assert trace.outcome == "Failed", connect.__name__
+        # the injected D appears in the trace where B would have been
+        assert state_id_for(MsgType.SECURITY_MODE_COMPLETE, config.rnti) in trace.state_sequence()
 
 
 def test_mutate_encrypted_byte_triggers_integrity_failure():
@@ -168,5 +178,7 @@ def test_mutate_encrypted_byte_triggers_integrity_failure():
                 return ForwardDecision.mutate_bits((5, 0xFF))
             return ForwardDecision.pass_()
 
-    trace = run_handshake(config, interceptor=FlipEncryptedField())
-    assert trace.outcome == "Failed"
+    for connect in TRANSPORTS:
+        result = connect(config, None, FlipEncryptedField())
+        assert result.trace.outcome == "Failed", connect.__name__
+        assert result.ue_state.failure_reason == "integrity", connect.__name__

@@ -255,17 +255,22 @@ def cmd_campaign(settings: Settings) -> int:
                 store=store,
             )
         else:  # soal
-            profile = load_profile(settings.get("profile"), config.rnti)
-            target = engine.HandshakeTarget(config, profile, store=store)
-            target.bootstrap()
             phases = tuple(
                 settings.get("phases", "before_encryption", str).split(",")
             )
             actions = engine.default_enumeration(phases)
             focus = settings.get("target")
-            extra.update(phases=",".join(phases), cases=len(actions))
             if focus:
+                actions = [a for a in actions if a.msg_type.name == focus.upper()]
+                if not actions:
+                    names = sorted({t.name.lower() for t in engine.DEFAULT_FIELD_DOMAINS})
+                    raise ConfigError(f"no white-box cases for target {focus!r}; "
+                                      f"choose from {', '.join(names)}")
                 extra["focus"] = focus
+            extra.update(phases=",".join(phases), cases=len(actions))
+            profile = load_profile(settings.get("profile"), config.rnti)
+            target = engine.HandshakeTarget(config, profile, store=store)
+            target.bootstrap()
             result = engine.soal_campaign(target, actions)
     except engine.EngineError as exc:
         raise ConfigError(str(exc)) from exc
@@ -517,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update-scope", dest="update_scope", choices=("entry", "row_column"))
     p.add_argument("--channels", help="comma-separated physical channels")
     p.add_argument("--profile", help="vulnerability profile json")
-    p.add_argument("--target", help="focus command for white-box fuzzing")
+    p.add_argument("--target",
+                   help="white-box: fuzz only this message type, e.g. rrc_setup_request")
     p.add_argument("--phases", help="before_encryption,after_encryption")
     p.add_argument("--simulated-commands", dest="simulated_commands", type=int,
                    help="grey-box: run against a simulated alphabet of this size")

@@ -213,7 +213,7 @@ class ProbabilityMatrix:
         total = mass.sum()
         if total <= 0:
             raise RowExhausted("no untested pair left in any row")
-        return self.states[int(rng.choice(len(self.states), p=mass / total))]
+        return self.states[weighted_index(mass / total, rng)]
 
     def probability_rows(self) -> list[ProbabilityRow]:
         rows = []
@@ -224,15 +224,26 @@ class ProbabilityMatrix:
         return rows
 
 
+def weighted_index(w: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probability ``w`` (non-negative, summing to about 1).
+
+    This is ``rng.choice(len(w), p=w)`` without its input validation:
+    numpy draws by the same inverse CDF from one ``rng.random()``, so the
+    generator's stream and the returned index are the same.
+    """
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def syal_select(matrix: ProbabilityMatrix, a: str, rng: np.random.Generator) -> str:
     """Weighted draw of a replacement for command ``a`` among untested pairs."""
     i = matrix.idx(a)
-    weights = matrix.p[i] * matrix.untested_mask()[i]
+    weights = matrix.p[i] * (matrix.eligible[i] & ~matrix.tested[i])
     total = weights.sum()
     if total <= 0:
         raise RowExhausted(f"row {a} has no untested replacement")
-    j = int(rng.choice(len(matrix.states), p=weights / total))
-    return matrix.states[j]
+    return matrix.states[weighted_index(weights / total, rng)]
 
 
 def syal_update(
@@ -252,16 +263,24 @@ def syal_update(
     """
     factor = (1.0 + alpha) if outcome == FAILED else (1.0 - alpha * ratio)
     i, j = matrix.idx(a), matrix.idx(b)
-    sel = np.zeros_like(matrix.tested)
+    p, p_min = matrix.p, matrix.p_min
     if scope == "entry":
-        sel[i, j] = True
+        p[i, j] = min(max(p[i, j] * factor, p_min), 1.0)
     elif scope == "row_column":
-        sel[i, :] = True
-        sel[:, j] = True
+        _scale_clamped(p[i], factor, p_min)  # basic slices are views
+        entry = p[i, j]  # scaled with the row; the column must not scale it again
+        _scale_clamped(p[:, j], factor, p_min)
+        p[i, j] = entry
     else:
         raise ValueError(f"unknown update scope {scope!r}")
-    matrix.p[sel] = np.clip(matrix.p[sel] * factor, matrix.p_min, 1.0)
     return matrix
+
+
+def _scale_clamped(line: np.ndarray, factor: float, p_min: float) -> None:
+    """``line[:] = np.clip(line * factor, p_min, 1.0)`` without temporaries."""
+    np.multiply(line, factor, out=line)
+    np.maximum(line, p_min, out=line)
+    np.minimum(line, 1.0, out=line)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +295,12 @@ class SimulatedTarget:
     the vulnerability profile fails the connection, anything else is ignored
     by the receiver and recovered by retransmission. Traces are synthesised
     to the same shape the twin records.
+
+    A trace is a pure function of ``(a, b, layer)`` and the alphabet,
+    profile and tick fixed at construction, so each is built once and the
+    same frozen ``ConnectionTrace`` is returned on every repeat. Do not
+    reassign ``commands``, ``profile``, ``channel`` or ``tick_ns`` after
+    construction; build a new target instead.
     """
 
     def __init__(self, commands, profile: VulnerabilityProfile, channel: str = "PDSCH",
@@ -285,6 +310,11 @@ class SimulatedTarget:
         self.channel = channel
         self.tick_ns = tick_ns
         self._index = {c: i for i, c in enumerate(self.commands)}
+        # the unfuzzed run's states, and the same shifted one tick later for
+        # the commands that follow an injected one
+        self._states = tuple((c, (i + 1) * tick_ns) for i, c in enumerate(self.commands))
+        self._shifted = tuple((c, (i + 2) * tick_ns) for i, c in enumerate(self.commands))
+        self._traces: dict[tuple[str, str, str], ConnectionTrace] = {}
 
     @classmethod
     def alphabet(cls, n: int, profile: VulnerabilityProfile, prefix: str = "cmd", **kw):
@@ -294,18 +324,27 @@ class SimulatedTarget:
         return {self.channel: list(self.commands)}
 
     def attempt_command_replace(self, a: str, b: str, layer: str = "rrc") -> ConnectionTrace:
+        key = (a, b, layer)
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = self._traces[key] = self._build_trace(a, b, layer)
+        return trace
+
+    def _build_trace(self, a: str, b: str, layer: str) -> ConnectionTrace:
+        """The injected ``b`` takes ``a``'s slot; unless the pair fails the
+        connection, ``a`` is retransmitted next and the run goes on."""
         pos = self._index[a]
+        tick = self.tick_ns
         failed = self.profile.forces_failure(a, b)
-        seq = self.commands[:pos] + [b]
+        states = self._states[:pos] + ((b, (pos + 1) * tick),)
         if not failed:
-            seq = seq + [a] + self.commands[pos + 1 :]
-        states = tuple((sid, (i + 1) * self.tick_ns) for i, sid in enumerate(seq))
+            states += ((a, (pos + 2) * tick),) + self._shifted[pos + 1 :]
         return ConnectionTrace(
             states=states,
             outcome=FAILED if failed else SUCCESS,
             fuzz_action=command_replace(a, b, layer).to_record(),
-            fuzz_time=(pos + 1) * self.tick_ns,
-            outcome_time=(len(seq) + 1) * self.tick_ns,
+            fuzz_time=(pos + 1) * tick,
+            outcome_time=(len(states) + 1) * tick,
         )
 
 
@@ -548,7 +587,8 @@ def syal_campaign(
     rng = np.random.default_rng(seed)
     vulns, curve, log = [], [], []
     cases = 0
-    while matrix.has_untested():
+    untested = int(matrix.untested_mask().sum())  # each case tests one new pair
+    while cases < untested:
         if stop_after_found is not None and len(vulns) >= stop_after_found:
             break
         a = matrix.sample_row(rng)

@@ -80,7 +80,6 @@ class ProbabilityRow:
     state_id_from: str
     state_id_to: str
     probability: float
-    completion_rate: float | None = None  # only set by bit-level campaigns
 
 
 @dataclass(frozen=True)
@@ -153,6 +152,11 @@ def _trace_from_dict(d: dict) -> ConnectionTrace:
         outcome_time=d.get("outcome_time", 0),
         trace_id=d["trace_id"],
     )
+
+
+def _probability_from_dict(d: dict) -> ProbabilityRow:
+    # stores written before the field was removed carry "completion_rate": null
+    return ProbabilityRow(d["state_id_from"], d["state_id_to"], d["probability"])
 
 
 class CampaignStore:
@@ -233,7 +237,7 @@ class CampaignStore:
         elif kind == _KIND_ACTION:
             self.actions.append(ActionRow(**payload))
         elif kind == _KIND_PROBABILITY:
-            row = ProbabilityRow(**payload)
+            row = _probability_from_dict(payload)
             self.probabilities[(row.state_id_from, row.state_id_to)] = row
         elif kind == _KIND_TRACE:
             trace = _trace_from_dict(payload)
@@ -366,7 +370,7 @@ class CampaignStore:
         for r in doc.get("actions", []):
             self.record_action(ActionRow(**r))
         for r in doc.get("probabilities", []):
-            self.record_probability(ProbabilityRow(**r))
+            self.record_probability(_probability_from_dict(r))
         for r in doc.get("traces", []):
             trace = _trace_from_dict(r)
             self.record_trace(trace)

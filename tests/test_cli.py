@@ -67,7 +67,7 @@ def test_campaign_grey_box_simulated(tmp_path):
 def test_campaign_white_box_33_cases(tmp_path):
     out = tmp_path / "soal"
     code = run(
-        "campaign", "--knowledge", "white_box", "--target", "rrc_setup_request",
+        "campaign", "--knowledge", "white_box",
         "--seed", 1, "--out-dir", out, "--store", out / "c.fztw",
     )
     assert code == EXIT_OK
@@ -75,7 +75,32 @@ def test_campaign_white_box_33_cases(tmp_path):
     assert result["strategy"] == "soal"
     assert result["cases_run"] == 33
     summary = (out / "summary.txt").read_text()
-    assert "cases: 33" in summary and "focus: rrc_setup_request" in summary
+    assert "cases: 33" in summary and "focus:" not in summary
+
+
+def test_campaign_white_box_target_filters_to_message_type(tmp_path):
+    out = tmp_path / "soal"
+    code = run(
+        "campaign", "--knowledge", "white_box", "--target", "rrc_setup_request",
+        "--seed", 1, "--out-dir", out, "--store", out / "c.fztw",
+    )
+    assert code == EXIT_OK
+    result = json.loads((out / "campaign_result.json").read_text())
+    assert result["cases_run"] == 19  # 3 UE identities + 16 establishment causes
+    assert {c["action"]["msg_type"] for c in result["case_log"]} == {"RRC_SETUP_REQUEST"}
+    summary = (out / "summary.txt").read_text()
+    assert "cases: 19" in summary and "focus: rrc_setup_request" in summary
+
+
+@pytest.mark.parametrize("target", ["rrc_nonsense", "rrc_setup_complete"])
+def test_campaign_white_box_unknown_target_is_config_error(tmp_path, target):
+    out = tmp_path / "soal"
+    code = run(
+        "campaign", "--knowledge", "white_box", "--target", target,
+        "--out-dir", out, "--store", out / "c.fztw",
+    )
+    assert code == EXIT_CONFIG
+    assert not (out / "campaign_result.json").exists()
 
 
 def test_campaign_strategy_override_and_config_error(tmp_path):

@@ -1,5 +1,7 @@
 """Strategy engines: pools, probability scheduling, bit-level enumeration."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzztwin import engine, twin
+from fuzztwin import engine, experiments, twin
 from fuzztwin.cli import DEFAULT_PROFILE_TYPE_PAIRS
 from fuzztwin.engine import (
     FAILED,
@@ -29,6 +31,7 @@ from fuzztwin.engine import (
     syal_select,
     syal_update,
     default_enumeration,
+    weighted_index,
 )
 from fuzztwin.twin import TwinConfig, VulnerabilityProfile, state_id_for
 from fuzztwin.wire import (
@@ -124,6 +127,26 @@ def test_select_weighted_row_tracks_exact_ratio():
     assert abs(freq - 0.9) < 0.02
 
 
+def test_weighted_index_matches_generator_choice():
+    # twin generators: the same index for every vector, and the streams stay
+    # aligned, so a whole campaign draws the same cases as rng.choice
+    vectors = np.random.default_rng(2024)
+    ours, numpy_choice = np.random.default_rng(7), np.random.default_rng(7)
+    for k in range(12_000):
+        n = int(vectors.integers(1, 40))
+        w = vectors.random(n) * 10.0 ** vectors.uniform(-3, 3)
+        if k % 3 == 1:
+            w[vectors.random(n) < 0.5] = 0.0
+        elif k % 3 == 2:
+            w = np.zeros(n)
+            w[int(vectors.integers(n))] = vectors.uniform(0.01, 1.0)
+        if not w.any():
+            w[-1] = 1.0
+        p = w / w.sum()
+        assert weighted_index(p, ours) == numpy_choice.choice(n, p=p), k
+    assert ours.random() == numpy_choice.random()
+
+
 def test_select_exhausted_row_raises():
     m = make_matrix(2)
     m.tested[0, 1] = True
@@ -189,6 +212,40 @@ def test_update_order_independent_for_disjoint_pairs(outcomes, alpha, ratio):
     assert np.allclose(a.p, b.p, rtol=1e-12, atol=0)
 
 
+def masked_clip_update(p, i, j, factor, p_min, scope):
+    """Reference update: select the touched entries by mask, clip them once."""
+    sel = np.zeros(p.shape, dtype=bool)
+    if scope == "entry":
+        sel[i, j] = True
+    else:
+        sel[i, :] = True
+        sel[:, j] = True
+    out = p.copy()
+    out[sel] = np.clip(p[sel] * factor, p_min, 1.0)
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scope=st.sampled_from(["entry", "row_column"]),
+    outcome=st.sampled_from([FAILED, SUCCESS]),
+    alpha=st.floats(0.0, 3.0),
+    ratio=st.floats(0.0, 1.0),
+    p_min=st.floats(0.0, 0.3),
+)
+@settings(max_examples=200, deadline=None)
+def test_update_equals_masked_clip_reference(seed, scope, outcome, alpha, ratio, p_min):
+    rng = np.random.default_rng(seed)
+    m = make_matrix(6)
+    m.p = rng.uniform(0.0, 1.2, (6, 6))
+    m.p_min = p_min
+    i, j = (int(k) for k in rng.integers(6, size=2))
+    factor = (1.0 + alpha) if outcome == FAILED else (1.0 - alpha * ratio)
+    expected = masked_clip_update(m.p, i, j, factor, p_min, scope)
+    syal_update(m, f"c{i}", f"c{j}", outcome, alpha, ratio, scope=scope)
+    assert np.array_equal(m.p, expected)
+
+
 def test_repeated_failures_never_decrease_priority():
     m = make_matrix(3)
     last = m.p[0, 1]
@@ -202,6 +259,50 @@ def test_repeated_failures_never_decrease_priority():
 # ---------------------------------------------------------------------------
 # simulated campaigns
 # ---------------------------------------------------------------------------
+
+
+def reference_trace(target, a, b, layer="rrc"):
+    """A simulated trace built state by state from the alphabet."""
+    pos = target.commands.index(a)
+    failed = target.profile.forces_failure(a, b)
+    seq = target.commands[:pos] + [b]
+    if not failed:
+        seq = seq + [a] + target.commands[pos + 1 :]
+    tick = target.tick_ns
+    return engine.ConnectionTrace(
+        states=tuple((sid, (i + 1) * tick) for i, sid in enumerate(seq)),
+        outcome=FAILED if failed else SUCCESS,
+        fuzz_action=engine.command_replace(a, b, layer).to_record(),
+        fuzz_time=(pos + 1) * tick,
+        outcome_time=(len(seq) + 1) * tick,
+    )
+
+
+def test_simulated_trace_is_memoised_and_equals_reference():
+    commands = [f"cmd{i:02d}" for i in range(6)]
+    profile = VulnerabilityProfile.generate(commands, 5, "row_clustered", seed=4)
+    target = SimulatedTarget(commands, profile, tick_ns=7)
+    outcomes = set()
+    for layer in ("rrc", "mac"):
+        for a in commands:
+            for b in commands:
+                if a == b:
+                    continue
+                trace = target.attempt_command_replace(a, b, layer)
+                assert target.attempt_command_replace(a, b, layer) is trace
+                expected = reference_trace(target, a, b, layer)
+                assert trace == expected
+                assert trace.content_hash() == expected.content_hash()
+                outcomes.add(trace.outcome)
+    assert outcomes == {FAILED, SUCCESS}
+
+
+def test_syal_benchmark_digest_is_pinned():
+    # campaign results of the scheduling experiment, byte for byte; any change
+    # to the draws, the update arithmetic or the simulated traces moves it
+    r = experiments.syal_vs_random_benchmark(seeds=range(40))
+    blob = json.dumps([r.as_dict(), r.syal_curves, r.random_curves]).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == "c4fae851755e9db7"
 
 
 def test_syal_empty_profile_zero_curve_full_termination():

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,28 @@ def test_probability_rows_last_write_wins(tmp_path):
     reloaded = CampaignStore(path)
     assert reloaded.probabilities[("a", "b")].probability == 0.75
     reloaded.close()
+
+
+def v1_record(kind, payload):
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    crc = zlib.crc32(bytes([kind]) + blob) & 0xFFFFFFFF
+    return len(blob).to_bytes(4, "little") + bytes([kind]) + blob + crc.to_bytes(4, "little")
+
+
+def test_store_with_completion_rate_key_still_loads(tmp_path):
+    # probability records written before ProbabilityRow.completion_rate was
+    # removed carry the key, always null
+    old = {"state_id_from": "a", "state_id_to": "b", "probability": 0.25,
+           "completion_rate": None}
+    path = tmp_path / "old.fztw"
+    path.write_bytes(b"FZTW\x01" + v1_record(3, old))
+    reloaded = CampaignStore(path)
+    assert reloaded.probabilities == {("a", "b"): ProbabilityRow("a", "b", 0.25)}
+    reloaded.close()
+
+    imported = CampaignStore()
+    imported.import_json(json.dumps({"probabilities": [old]}).encode())
+    assert imported.probabilities == {("a", "b"): ProbabilityRow("a", "b", 0.25)}
 
 
 def test_query_frequencies_single_trace():

@@ -9,7 +9,6 @@ exponential model compared by R-squared in the original y space.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -44,6 +43,16 @@ class TransitionGraph:
 
     def edge_counts(self, edge):
         return tuple(self.edges.get(edge, (0, 0)))
+
+    def to_dot(self) -> bytes:
+        """Graphviz digraph, vertices and edges sorted, edges labelled
+        ``fail:F succ:S``."""
+        lines = ["digraph transactions {"]
+        lines.extend(f'  "{v}";' for v in sorted(self.vertices))
+        for (a, b), (succ, fail) in sorted(self.edges.items()):
+            lines.append(f'  "{a}" -> "{b}" [label="fail:{fail} succ:{succ}"];')
+        lines.append("}")
+        return ("\n".join(lines) + "\n").encode()
 
 
 def build_graph(traces) -> TransitionGraph:
@@ -117,9 +126,6 @@ class RiskReport:
             },
             "mode": self.mode,
         }
-
-    def to_json(self) -> bytes:
-        return json.dumps(self.as_dict(), indent=1, sort_keys=True).encode()
 
 
 def evaluate_rule(

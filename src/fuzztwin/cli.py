@@ -97,11 +97,20 @@ def load_profile(path: str | None, rnti: int) -> VulnerabilityProfile:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load profile {path}: {exc}") from exc
-    if "type_pairs" in doc:
-        pairs = [(MsgType[a], MsgType[b]) for a, b in doc["type_pairs"]]
+    if not isinstance(doc, dict):
+        raise ConfigError(f"profile {path}: expected a JSON object")
+    key = "type_pairs" if "type_pairs" in doc else "pairs"
+    pairs = doc.get(key, [])
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ConfigError(f"profile {path}: every {key} entry must be a pair")
+    if key == "type_pairs":
+        try:
+            pairs = [(MsgType[a], MsgType[b]) for a, b in pairs]
+        except KeyError as exc:
+            raise ConfigError(f"profile {path}: unknown message type {exc.args[0]!r}") from exc
         return VulnerabilityProfile.from_type_pairs(pairs, rnti)
     return VulnerabilityProfile(
-        pairs=frozenset(tuple(p) for p in doc.get("pairs", [])),
+        pairs=frozenset(tuple(p) for p in pairs),
         clustering=doc.get("clustering", "uniform"),
     )
 
@@ -199,85 +208,80 @@ def cmd_campaign(settings: Settings) -> int:
     if strategy not in ("lal", "syal", "soal"):
         raise ConfigError(f"unknown strategy {strategy!r}")
 
+    # every configuration error is raised here, before the store file exists
     config = twin_config(settings)
     seed = settings.get("seed", 0, int)
     out_dir = Path(settings.get("out_dir", "campaign-out", str))
     store_path = settings.get("store", str(out_dir / "campaign.fztw"), str)
+    channels = settings.get("channels")
+    channels = tuple(channels.split(",")) if channels else None
+    extra: dict = {}  # summary must stay byte-identical across runs: no paths
+    simulated = None
+    if strategy == "lal":
+        budget = settings.get("budget", 50, int)
+
+        def run(target, store):
+            return engine.lal_campaign(
+                target.pool, budget=budget, seed=seed, target=target, channels=channels
+            )
+    elif strategy == "syal":
+        alpha = settings.get("alpha", 0.5, float)
+        ratio = settings.get("ratio", 0.1, float)
+        p_min = settings.get("p_min", 0.01, float)
+        scope = settings.get("update_scope", "row_column", str)
+        simulated = settings.get("simulated_commands", None, int)
+        extra.update(alpha=alpha, ratio=ratio, p_min=p_min, update_scope=scope)
+        if simulated:
+            profile = VulnerabilityProfile.generate(
+                [f"cmd{i:02d}" for i in range(simulated)],
+                count=settings.get("vuln_count", max(1, simulated // 3), int),
+                clustering=settings.get("clustering", "row_clustered", str),
+                seed=seed,
+            )
+            stop = settings.get("stop_after_found", profile.count, int)
+        else:
+            stop = settings.get("stop_after_found", None, int)
+
+        def run(target, store):
+            result, _ = engine.syal_campaign(
+                target, alpha=alpha, ratio=ratio, p_min=p_min, update_scope=scope,
+                seed=seed, channels=channels, stop_after_found=stop, store=store,
+            )
+            return result
+    else:  # soal
+        phases = tuple(settings.get("phases", "before_encryption", str).split(","))
+        actions = engine.default_enumeration(phases)
+        focus = settings.get("target")
+        if focus:
+            actions = [a for a in actions if a.msg_type.name == focus.upper()]
+            if not actions:
+                names = sorted({t.name.lower() for t in engine.DEFAULT_FIELD_DOMAINS})
+                raise ConfigError(f"no white-box cases for target {focus!r}; "
+                                  f"choose from {', '.join(names)}")
+            extra["focus"] = focus
+        extra.update(phases=",".join(phases), cases=len(actions))
+
+        def run(target, store):
+            return engine.soal_campaign(target, actions)
+    if not simulated:
+        profile = load_profile(settings.get("profile"), config.rnti)
+
     out_dir.mkdir(parents=True, exist_ok=True)
     store = CampaignStore(store_path)
-    extra: dict = {}  # summary must stay byte-identical across runs: no paths
-
     try:
-        if strategy == "lal":
-            profile = load_profile(settings.get("profile"), config.rnti)
+        if simulated:
+            target = engine.SimulatedTarget.alphabet(simulated, profile)
+        else:
             target = engine.HandshakeTarget(config, profile, store=store)
             target.bootstrap()
-            channels = settings.get("channels")
-            channel_set = tuple(channels.split(",")) if channels else None
-            result = engine.lal_campaign(
-                target.pool,
-                budget=settings.get("budget", 50, int),
-                seed=seed,
-                target=target,
-                channels=channel_set,
-            )
-        elif strategy == "syal":
-            alpha = settings.get("alpha", 0.5, float)
-            ratio = settings.get("ratio", 0.1, float)
-            p_min = settings.get("p_min", 0.01, float)
-            scope = settings.get("update_scope", "row_column", str)
-            simulated = settings.get("simulated_commands", None, int)
-            extra.update(alpha=alpha, ratio=ratio, p_min=p_min, update_scope=scope)
-            if simulated:
-                profile = VulnerabilityProfile.generate(
-                    [f"cmd{i:02d}" for i in range(simulated)],
-                    count=settings.get("vuln_count", max(1, simulated // 3), int),
-                    clustering=settings.get("clustering", "row_clustered", str),
-                    seed=seed,
-                )
-                target = engine.SimulatedTarget.alphabet(simulated, profile)
-                stop = settings.get("stop_after_found", profile.count, int)
-            else:
-                profile = load_profile(settings.get("profile"), config.rnti)
-                target = engine.HandshakeTarget(config, profile, store=store)
-                target.bootstrap()
-                stop = settings.get("stop_after_found", None, int)
-            channels = settings.get("channels")
-            result, _ = engine.syal_campaign(
-                target,
-                alpha=alpha,
-                ratio=ratio,
-                p_min=p_min,
-                update_scope=scope,
-                seed=seed,
-                channels=tuple(channels.split(",")) if channels else None,
-                stop_after_found=stop,
-                store=store,
-            )
-        else:  # soal
-            phases = tuple(
-                settings.get("phases", "before_encryption", str).split(",")
-            )
-            actions = engine.default_enumeration(phases)
-            focus = settings.get("target")
-            if focus:
-                actions = [a for a in actions if a.msg_type.name == focus.upper()]
-                if not actions:
-                    names = sorted({t.name.lower() for t in engine.DEFAULT_FIELD_DOMAINS})
-                    raise ConfigError(f"no white-box cases for target {focus!r}; "
-                                      f"choose from {', '.join(names)}")
-                extra["focus"] = focus
-            extra.update(phases=",".join(phases), cases=len(actions))
-            profile = load_profile(settings.get("profile"), config.rnti)
-            target = engine.HandshakeTarget(config, profile, store=store)
-            target.bootstrap()
-            result = engine.soal_campaign(target, actions)
+        result = run(target, store)
     except engine.EngineError as exc:
         raise ConfigError(str(exc)) from exc
+    finally:
+        store.close()
 
     write_json(out_dir / "campaign_result.json", result.as_dict())
     (out_dir / "summary.txt").write_text(_campaign_summary(result, extra))
-    store.close()
     print(_campaign_summary(result, extra), end="")
     print(f"store: {store_path}")
     return EXIT_OK

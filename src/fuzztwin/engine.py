@@ -10,6 +10,8 @@ proportionally to their remaining untested mass and the replacement within
 the row by its entry weight, without replacement, so a campaign terminates in
 at most n*(n-1) attempts.
 
+Every strategy is a source of cases plus an ``attempt`` that runs one case;
+``run_campaign`` is the one loop that runs them and records findings.
 Campaigns run against either the twin (HandshakeTarget, on the in-process
 virtual-time transport) or a simulated alphabet of commands with the same
 outcome rule (SimulatedTarget), which makes scaled scheduling experiments
@@ -46,10 +48,6 @@ from .wire import (
 
 SUCCESS = "Success"
 FAILED = "Failed"
-
-DOWNLINK_PHYSICAL = ("PDSCH", "PDCCH", "PCCH")
-UPLINK_PHYSICAL = ("PUSCH",)
-
 
 class EngineError(Exception):
     pass
@@ -106,12 +104,11 @@ def command_replace(a: str, b: str, layer: str = "rrc") -> FuzzAction:
 
 
 class CandidatePool:
-    """Recorded commands grouped by physical channel, plus applied pairs."""
+    """Recorded commands grouped by physical channel."""
 
     def __init__(self):
         self.by_channel: dict[str, list[tuple[str, Frame]]] = {}
         self.frames: dict[str, Frame] = {}
-        self.applied: set[tuple[str, str]] = set()
 
     def observe(self, frame: Frame) -> None:
         sid = derive_state_id(frame)
@@ -140,9 +137,6 @@ class CandidatePool:
             sids = [sid for sid, _ in entries]
             pairs.extend((a, b) for a in sids for b in sids if a != b)
         return pairs
-
-    def unapplied_pairs(self, channels=None) -> list[tuple[str, str]]:
-        return [p for p in self.replacement_pairs(channels) if p not in self.applied]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +469,7 @@ class HandshakeTarget:
 
 
 # ---------------------------------------------------------------------------
-# campaign results
+# campaign results and the case driver
 # ---------------------------------------------------------------------------
 
 
@@ -505,8 +499,42 @@ class CampaignResult:
         }
 
 
-def _trace_key(trace: ConnectionTrace) -> str:
-    return trace.trace_id or trace.content_hash()
+def run_campaign(strategy: str, seed: int, cases, attempt,
+                 stop_after_found: int | None = None) -> CampaignResult:
+    """Run cases one connection each and record what they found.
+
+    ``cases`` is consumed lazily, one item per case, so a source may choose
+    its next case from the outcomes learned so far. ``attempt(case)`` runs
+    one connection and returns ``(action, trace, label)``; any label other
+    than ``"none"`` is a finding. The campaign ends when ``cases`` runs out
+    or, if ``stop_after_found`` is set, once that many findings are on
+    record (0 runs no case).
+    """
+    result = CampaignResult(strategy, 0, [], [], seed)
+    if stop_after_found is not None and stop_after_found <= 0:
+        return result
+    vulns, curve, log = result.vulnerabilities_found, result.found_curve, result.case_log
+    for case in cases:
+        action, trace, label = attempt(case)
+        if label != "none":
+            vulns.append((action, trace.trace_id or trace.content_hash()))
+        log.append((action, trace.outcome, label))
+        curve.append((len(log), len(vulns)))
+        if len(vulns) == stop_after_found:  # never true for None
+            break
+    result.cases_run = len(log)
+    return result
+
+
+def _replace_attempt(target):
+    """``attempt`` for a command-replacement pair: a failed connection is a finding."""
+
+    def attempt(pair):
+        a, b = pair
+        trace = target.attempt_command_replace(a, b)
+        return command_replace(a, b), trace, "failure" if trace.outcome == FAILED else "none"
+
+    return attempt
 
 
 # ---------------------------------------------------------------------------
@@ -515,26 +543,13 @@ def _trace_key(trace: ConnectionTrace) -> str:
 
 
 def lal_campaign(pool: CandidatePool, budget: int, seed: int, target, *,
-                 channels=None, layer: str = "rrc") -> CampaignResult:
-    """Iterate unapplied same-channel replacements, one per connection."""
+                 channels=None) -> CampaignResult:
+    """Same-channel replacements in a seeded shuffle, one per connection."""
     if pool.size == 0:
         raise EmptyPool("no commands observed yet")
-    pairs = pool.unapplied_pairs(channels)
-    rng = random.Random(seed)
-    rng.shuffle(pairs)
-    vulns, curve, log = [], [], []
-    cases = 0
-    for a, b in pairs[:budget]:
-        trace = target.attempt_command_replace(a, b, layer)
-        pool.applied.add((a, b))
-        cases += 1
-        action = command_replace(a, b, layer)
-        outcome = trace.outcome
-        if outcome == FAILED:
-            vulns.append((action, _trace_key(trace)))
-        log.append((action, outcome, "failure" if outcome == FAILED else "none"))
-        curve.append((cases, len(vulns)))
-    return CampaignResult("lal", cases, vulns, curve, seed, log)
+    pairs = pool.replacement_pairs(channels)
+    random.Random(seed).shuffle(pairs)
+    return run_campaign("lal", seed, pairs[:budget], _replace_attempt(target))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +583,6 @@ def syal_campaign(
     channels=None,
     stop_after_found: int | None = None,
     prior_pairs=(),
-    layer: str = "rrc",
     store: CampaignStore | None = None,
 ):
     """Algorithm-style probability campaign; returns (result, matrix).
@@ -585,27 +599,25 @@ def syal_campaign(
         syal_update(matrix, a, b, FAILED, alpha, ratio, scope=update_scope)
         matrix.mark_tested(a, b)
     rng = np.random.default_rng(seed)
-    vulns, curve, log = [], [], []
-    cases = 0
     untested = int(matrix.untested_mask().sum())  # each case tests one new pair
-    while cases < untested:
-        if stop_after_found is not None and len(vulns) >= stop_after_found:
-            break
-        a = matrix.sample_row(rng)
-        b = syal_select(matrix, a, rng)
-        trace = target.attempt_command_replace(a, b, layer)
+
+    def draws():
+        for _ in range(untested):
+            a = matrix.sample_row(rng)
+            yield a, syal_select(matrix, a, rng)
+
+    def attempt(pair):
+        a, b = pair
+        trace = target.attempt_command_replace(a, b)
         matrix.mark_tested(a, b)
         syal_update(matrix, a, b, trace.outcome, alpha, ratio, scope=update_scope)
-        cases += 1
-        action = command_replace(a, b, layer)
-        if trace.outcome == FAILED:
-            vulns.append((action, _trace_key(trace)))
-        log.append((action, trace.outcome, "failure" if trace.outcome == FAILED else "none"))
-        curve.append((cases, len(vulns)))
+        return command_replace(a, b), trace, "failure" if trace.outcome == FAILED else "none"
+
+    result = run_campaign("syal", seed, draws(), attempt, stop_after_found)
     if store is not None:
         for row in matrix.probability_rows():
             store.record_probability(row)
-    return CampaignResult("syal", cases, vulns, curve, seed, log), matrix
+    return result, matrix
 
 
 def random_campaign(
@@ -614,27 +626,12 @@ def random_campaign(
     seed: int = 0,
     channels=None,
     stop_after_found: int | None = None,
-    layer: str = "rrc",
 ) -> CampaignResult:
     """Uniform-random baseline: a random permutation of all eligible pairs."""
-    matrix = _campaign_matrix(target, channels, p0=0.5, p_min=0.01)
-    pairs = matrix.untested_pairs()
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pairs))
-    vulns, curve, log = [], [], []
-    cases = 0
-    for k in order:
-        if stop_after_found is not None and len(vulns) >= stop_after_found:
-            break
-        a, b = pairs[int(k)]
-        trace = target.attempt_command_replace(a, b, layer)
-        cases += 1
-        action = command_replace(a, b, layer)
-        if trace.outcome == FAILED:
-            vulns.append((action, _trace_key(trace)))
-        log.append((action, trace.outcome, "failure" if trace.outcome == FAILED else "none"))
-        curve.append((cases, len(vulns)))
-    return CampaignResult("random", cases, vulns, curve, seed, log)
+    pairs = _campaign_matrix(target, channels, p0=0.5, p_min=0.01).untested_pairs()
+    order = np.random.default_rng(seed).permutation(len(pairs))
+    return run_campaign("random", seed, (pairs[int(k)] for k in order),
+                        _replace_attempt(target), stop_after_found)
 
 
 # ---------------------------------------------------------------------------
@@ -699,23 +696,6 @@ def default_enumeration(phases=("before_encryption",)) -> list[FuzzAction]:
     return actions
 
 
-def soal_apply(action: FuzzAction, frame_or_msg):
-    """Apply one bit-level case to a message (before encryption) or a frame
-    (after encryption, checksum left stale)."""
-    if action.kind != "bit_fuzz":
-        raise EngineError("soal_apply takes bit_fuzz actions")
-    if action.phase == "before_encryption":
-        if not isinstance(frame_or_msg, Message):
-            raise EngineError("before-encryption fuzzing rewrites the plaintext message")
-        return frame_or_msg.with_fields(**{action.field_name: action.value})
-    if not isinstance(frame_or_msg, Frame):
-        raise EngineError("after-encryption fuzzing rewrites on-wire bytes")
-    offset, byte_value = _blind_write(action.msg_type, action.field_name, action.value)
-    raw = bytearray(frame_or_msg.raw)
-    raw[offset] = byte_value
-    return Frame(bytes(raw), frame_or_msg.direction)
-
-
 def soal_campaign(target: HandshakeTarget, actions) -> CampaignResult:
     """Run bit-level cases, labelling failure and behaviour-altering results.
 
@@ -724,11 +704,9 @@ def soal_campaign(target: HandshakeTarget, actions) -> CampaignResult:
     baseline (the establishment-cause downgrade class).
     """
     baseline = target.baseline_service()
-    vulns, curve, log = [], [], []
-    cases = 0
-    for action in actions:
+
+    def attempt(action):
         trace, service, reason = target.attempt_bit_fuzz(action)
-        cases += 1
         if trace.outcome == FAILED:
             label = "integrity_failure" if reason == "integrity" else "failure"
         elif (
@@ -739,8 +717,6 @@ def soal_campaign(target: HandshakeTarget, actions) -> CampaignResult:
             label = "behavior_altering"
         else:
             label = "none"
-        if label != "none":
-            vulns.append((action, _trace_key(trace)))
-        log.append((action, trace.outcome, label))
-        curve.append((cases, len(vulns)))
-    return CampaignResult("soal", cases, vulns, curve, seed=0, case_log=log)
+        return action, trace, label
+
+    return run_campaign("soal", 0, actions, attempt)

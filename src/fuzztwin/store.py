@@ -26,7 +26,8 @@ import json
 import os
 import threading
 from dataclasses import asdict, dataclass
-from collections import Counter
+
+from .analyzer import TransitionGraph, build_graph
 
 MAGIC = b"FZTW"
 VERSION = 1
@@ -47,10 +48,6 @@ class CorruptRecord(StoreError):
 
 class StorageFull(StoreError):
     """The backing device rejected an append."""
-
-
-class EmptyStore(StoreError):
-    """A query that needs data ran against an empty store."""
 
 
 class UnsupportedFormat(StoreError):
@@ -128,6 +125,13 @@ def _crc32(data: bytes) -> int:
     import zlib
 
     return zlib.crc32(data) & 0xFFFFFFFF
+
+
+def _frame_record(kind: int, payload: dict) -> bytes:
+    """One log record: length, kind, compact sorted JSON, CRC32 of kind + JSON."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    crc = _crc32(bytes([kind]) + blob)
+    return len(blob).to_bytes(4, "little") + bytes([kind]) + blob + crc.to_bytes(4, "little")
 
 
 def _trace_to_dict(trace: ConnectionTrace) -> dict:
@@ -250,15 +254,8 @@ class CampaignStore:
     def _append(self, kind: int, payload: dict):
         if self._fh is None:
             return
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-        record = (
-            len(blob).to_bytes(4, "little")
-            + bytes([kind])
-            + blob
-            + _crc32(bytes([kind]) + blob).to_bytes(4, "little")
-        )
         try:
-            self._fh.write(record)
+            self._fh.write(_frame_record(kind, payload))
             self._fh.flush()
             if self.durable:
                 os.fsync(self._fh.fileno())
@@ -325,22 +322,6 @@ class CampaignStore:
     def __len__(self) -> int:
         return len(self._trace_order)
 
-    def query_frequencies(self, outcome: str | None = None):
-        """Exact per-state and per-transition occurrence counts.
-
-        Transitions are consecutive state pairs within each stored trace.
-        """
-        traces = self.traces(outcome)
-        if not self._trace_order:
-            raise EmptyStore("no traces recorded")
-        state_counts: Counter = Counter()
-        transition_counts: Counter = Counter()
-        for trace in traces:
-            seq = trace.state_sequence()
-            state_counts.update(seq)
-            transition_counts.update(zip(seq, seq[1:]))
-        return state_counts, transition_counts
-
     # ------------------------------------------------------------------
     # export / import
     # ------------------------------------------------------------------
@@ -394,23 +375,10 @@ class CampaignStore:
         return out.getvalue().encode()
 
     def _export_dot(self) -> bytes:
-        """Transition graph with per-outcome edge weights."""
-        succ: Counter = Counter()
-        fail: Counter = Counter()
-        vertices = set()
-        for tid in self._trace_order:
-            t = self._traces[tid]
-            vertices.update(t.state_sequence())
-            counts = succ if t.outcome == "Success" else fail
-            counts.update(t.transitions())
-        lines = ["digraph transactions {"]
-        for v in sorted(vertices):
-            lines.append(f'  "{v}";')
-        for edge in sorted(set(succ) | set(fail)):
-            a, b = edge
-            lines.append(f'  "{a}" -> "{b}" [label="fail:{fail[edge]} succ:{succ[edge]}"];')
-        lines.append("}")
-        return ("\n".join(lines) + "\n").encode()
+        """Transition graph with per-outcome edge weights, as counted by
+        ``analyzer.build_graph``; an empty store gives an empty digraph."""
+        traces = self.traces()
+        return (build_graph(traces) if traces else TransitionGraph()).to_dot()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -425,13 +393,13 @@ class CampaignStore:
             with open(tmp, "wb") as fh:
                 fh.write(MAGIC + bytes([VERSION]))
                 for row in self.states.values():
-                    self._write_record(fh, _KIND_STATE, asdict(row))
+                    fh.write(_frame_record(_KIND_STATE, asdict(row)))
                 for row in self.actions:
-                    self._write_record(fh, _KIND_ACTION, asdict(row))
+                    fh.write(_frame_record(_KIND_ACTION, asdict(row)))
                 for row in self.probabilities.values():
-                    self._write_record(fh, _KIND_PROBABILITY, asdict(row))
+                    fh.write(_frame_record(_KIND_PROBABILITY, asdict(row)))
                 for tid in self._trace_order:
-                    self._write_record(fh, _KIND_TRACE, _trace_to_dict(self._traces[tid]))
+                    fh.write(_frame_record(_KIND_TRACE, _trace_to_dict(self._traces[tid])))
                 fh.flush()
                 os.fsync(fh.fileno())
             self._fh.close()
@@ -443,16 +411,6 @@ class CampaignStore:
             finally:
                 os.close(dir_fd)
             self._fh = open(self.path, "ab")
-
-    @staticmethod
-    def _write_record(fh, kind: int, payload: dict):
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-        fh.write(
-            len(blob).to_bytes(4, "little")
-            + bytes([kind])
-            + blob
-            + _crc32(bytes([kind]) + blob).to_bytes(4, "little")
-        )
 
     def close(self) -> None:
         with self._lock:

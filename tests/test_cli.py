@@ -1,5 +1,6 @@
 """CLI subcommands, config precedence and exit codes."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -49,6 +50,71 @@ def test_campaign_black_box_deterministic_summary(tmp_path):
     result = json.loads((out1 / "campaign_result.json").read_text())
     assert result["strategy"] == "lal"
     assert result["cases_run"] == 6
+
+
+# sha256 of campaign_result.json and of the analyze dot export for
+# `campaign --knowledge K --budget 32 --seed 7`, taken before the strategies
+# shared one case driver and the dot export moved onto analyzer.build_graph
+PINNED_OUTPUTS = {
+    "black_box": ("71db49fe6ec0476c675d0389248aaa9fb045e41551eb65d7f65e6247226f9255",
+                  "9a303667d96985a5cfa6757cc05c07303acf5b06258937b3734a6b4c6622a38b"),
+    "grey_box": ("e06db9face8bc965a7c30a875687558425b15c48a16422222d18cfd982ee1048",
+                 "9a303667d96985a5cfa6757cc05c07303acf5b06258937b3734a6b4c6622a38b"),
+    "white_box": ("8c470cdf9543eadcb8fe30d5f140a7ba660e72e467f1f633f828abb703054945",
+                  "27c3ada2fd455171fd6609ca003334f692b24c7af1f91394d22000949b6a1703"),
+}
+
+
+@pytest.mark.parametrize("knowledge", sorted(PINNED_OUTPUTS))
+def test_campaign_outputs_are_byte_identical_and_pinned(tmp_path, knowledge):
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        code = run(
+            "campaign", "--knowledge", knowledge, "--budget", 32, "--seed", 7,
+            "--out-dir", out, "--store", out / "c.fztw",
+        )
+        assert code == EXIT_OK
+        assert run("analyze", "--store", out / "c.fztw", "--out-dir", out / "an") == EXIT_OK
+        outputs.append([
+            (out / f).read_bytes()
+            for f in ("c.fztw", "campaign_result.json", "summary.txt", "an/transactions.dot")
+        ])
+    assert outputs[0] == outputs[1]
+    _, result, _, dot = outputs[0]
+    digests = (hashlib.sha256(result).hexdigest(), hashlib.sha256(dot).hexdigest())
+    assert digests == PINNED_OUTPUTS[knowledge]
+
+
+@pytest.mark.parametrize("bad, env", [
+    (("--knowledge", "white_box", "--target", "bogus"), {}),
+    (("--knowledge", "black_box", "--profile", "/nonexistent/profile.json"), {}),
+    (("--knowledge", "grey_box"), {"FUZZTWIN_ALPHA": "high"}),
+    (("--knowledge", "black_box"), {"FUZZTWIN_BUDGET": "many"}),
+])
+def test_campaign_config_error_creates_no_store(tmp_path, monkeypatch, bad, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "out"
+    assert run("campaign", *bad, "--out-dir", out) == EXIT_CONFIG
+    assert not (out / "campaign.fztw").exists()
+
+
+@pytest.mark.parametrize("profile", [
+    {"type_pairs": [["RRC_SETUP", "NOT_A_TYPE"]]},
+    {"type_pairs": [["RRC_SETUP"]]},
+    {"pairs": [["a"]]},
+    {"pairs": [["a", "b", "c"]]},
+    ["not", "an", "object"],
+])
+def test_malformed_profile_is_config_error(tmp_path, profile, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    out = tmp_path / "out"
+    code = run("campaign", "--knowledge", "black_box", "--profile", path, "--out-dir", out)
+    assert code == EXIT_CONFIG
+    assert "profile" in capsys.readouterr().err
+    assert not (out / "campaign.fztw").exists()
 
 
 def test_campaign_grey_box_simulated(tmp_path):

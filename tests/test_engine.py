@@ -25,7 +25,6 @@ from fuzztwin.engine import (
     UnknownField,
     lal_campaign,
     random_campaign,
-    soal_apply,
     soal_enumerate,
     syal_campaign,
     syal_select,
@@ -33,15 +32,18 @@ from fuzztwin.engine import (
     default_enumeration,
     weighted_index,
 )
+from fuzztwin.store import CampaignStore
 from fuzztwin.twin import TwinConfig, VulnerabilityProfile, state_id_for
 from fuzztwin.wire import (
     Direction,
+    Frame,
     IntegrityError,
     Message,
     MsgType,
     SecurityContext,
     decode_message,
     encode_message,
+    verify_checksum,
 )
 
 
@@ -355,6 +357,50 @@ def test_syal_beats_random_on_row_clustered_profile():
     assert float(np.median(syal_cases)) < float(np.median(random_cases))
 
 
+@pytest.mark.parametrize("prior", [0, 2])
+def test_syal_stop_after_found_learns_the_last_outcome(prior):
+    commands = [f"cmd{i:02d}" for i in range(8)]
+    profile = VulnerabilityProfile.generate(commands, 5, "row_clustered", seed=6)
+    target = SimulatedTarget(commands, profile)
+    prior_pairs = sorted(profile.pairs)[:prior]
+    result, matrix = syal_campaign(
+        target, seed=4, stop_after_found=3 - prior, prior_pairs=prior_pairs
+    )
+    assert len(result.vulnerabilities_found) == 3 - prior
+    assert 0 < result.cases_run < len(commands) * (len(commands) - 1) - prior
+    # the case that reached the stop count was marked tested before the stop
+    assert int(matrix.tested.sum()) == result.cases_run + len(prior_pairs)
+
+
+def test_stop_after_found_zero_runs_no_case():
+    target = SimulatedTarget.alphabet(5, VulnerabilityProfile.empty())
+    result, matrix = syal_campaign(target, seed=1, stop_after_found=0)
+    assert result.cases_run == 0 and result.found_curve == [] and result.case_log == []
+    assert not matrix.tested.any()
+    assert random_campaign(target, seed=1, stop_after_found=0).cases_run == 0
+
+
+def test_run_campaign_draws_each_case_after_the_previous_attempt():
+    events = []
+
+    def cases():
+        for k in range(4):
+            events.append(("draw", k))
+            yield k
+
+    def attempt(k):
+        events.append(("attempt", k))
+        trace = engine.ConnectionTrace(outcome=FAILED if k % 2 else SUCCESS)
+        return FuzzAction(kind="command_replace"), trace, "failure" if k % 2 else "none"
+
+    result = engine.run_campaign("demo", 9, cases(), attempt, stop_after_found=2)
+    # the driver stops on the second finding without drawing a fifth case
+    assert events == [(kind, k) for k in range(4) for kind in ("draw", "attempt")]
+    assert result.cases_run == 4
+    assert result.found_curve == [(1, 0), (2, 1), (3, 1), (4, 2)]
+    assert [label for _, _, label in result.case_log] == ["none", "failure"] * 2
+
+
 def test_prior_pairs_are_boosted_and_excluded():
     commands = [f"cmd{i:02d}" for i in range(6)]
     profile = VulnerabilityProfile.generate(commands, 4, "row_clustered", seed=3)
@@ -416,30 +462,47 @@ def test_default_enumeration_is_33_before_encryption_cases():
     }
 
 
-def test_soal_apply_before_encryption_rewrites_field():
+def recorded_setup_requests(action, seed):
+    """Setup-request frames a store records for a clean connection and then
+    for one bit-level case, in that order."""
+    config = TwinConfig(seed=seed)
+    store = CampaignStore()
+    target = HandshakeTarget(config, store=store)
+    target.bootstrap()
+    target.attempt_bit_fuzz(action)
+    sid = state_id_for(MsgType.RRC_SETUP_REQUEST, config.rnti)
+    frames = [
+        Frame(bytes.fromhex(row.raw_bytes), Direction.UPLINK)
+        for row in store.actions
+        if row.state_id == sid
+    ]
+    assert len(frames) == 2
+    return frames
+
+
+def test_bit_fuzz_before_encryption_rewrites_field():
     action = FuzzAction(
         kind="bit_fuzz", phase="before_encryption",
         msg_type=MsgType.RRC_SETUP_REQUEST, field_name="establishment_cause", value=0,
     )
-    msg = Message(
-        MsgType.RRC_SETUP_REQUEST, rnti=1,
-        fields={"ue_id": 3, "establishment_cause": 6, "spare": 1},
-    )
-    out = soal_apply(action, msg)
-    assert out.fields["establishment_cause"] == 0
-    assert out.fields["spare"] == 1  # field-granular, spare untouched
+    clean, fuzzed = recorded_setup_requests(action, seed=26)
+    before = decode_message(clean, SecurityContext())
+    after = decode_message(fuzzed, SecurityContext())
+    assert before.fields["establishment_cause"] != 0
+    assert after.fields["establishment_cause"] == 0
+    assert after.fields["spare"] == before.fields["spare"] == 1  # field-granular
 
 
-def test_soal_apply_after_encryption_leaves_checksum_stale():
+def test_bit_fuzz_after_encryption_leaves_checksum_stale():
     action = FuzzAction(
         kind="bit_fuzz", phase="after_encryption", layer="mac",
         msg_type=MsgType.RRC_SETUP_REQUEST, field_name="establishment_cause", value=0,
     )
-    frame = frame_of(MsgType.RRC_SETUP_REQUEST, ue_id=3, establishment_cause=6, spare=1)
-    mutated = soal_apply(action, frame)
-    assert mutated.raw != frame.raw
+    clean, mutated = recorded_setup_requests(action, seed=27)
+    verify_checksum(clean)
+    assert mutated.raw != clean.raw
     with pytest.raises(IntegrityError):
-        decode_message(mutated, SecurityContext())
+        verify_checksum(mutated)
 
 
 # ---------------------------------------------------------------------------

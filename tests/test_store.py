@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzztwin.analyzer import EmptyInput, build_graph
 from fuzztwin.store import (
     ActionRow,
     CampaignStore,
     ConnectionTrace,
     CorruptRecord,
-    EmptyStore,
     FuzzActionRecord,
     ProbabilityRow,
     StateRow,
@@ -98,10 +98,19 @@ def test_store_with_completion_rate_key_still_loads(tmp_path):
     assert imported.probabilities == {("a", "b"): ProbabilityRow("a", "b", 0.25)}
 
 
+def frequencies(store):
+    """Per-state and per-transition counts over every stored trace."""
+    graph = build_graph(store.traces())
+    return (
+        {sid: sum(counts) for sid, counts in graph.state_counts.items()},
+        {edge: sum(counts) for edge, counts in graph.edges.items()},
+    )
+
+
 def test_query_frequencies_single_trace():
     store = CampaignStore()
     store.record_trace(make_trace(["s1", "s2", "s3"]))
-    states, transitions = store.query_frequencies()
+    states, transitions = frequencies(store)
     assert states == {"s1": 1, "s2": 1, "s3": 1}
     assert transitions == {("s1", "s2"): 1, ("s2", "s3"): 1}
 
@@ -114,14 +123,14 @@ def test_query_frequencies_additive():
         states=(("s1", 5), ("s2", 15), ("s3", 25)), outcome="Success", outcome_time=35
     )
     store.record_trace(t2)
-    states, transitions = store.query_frequencies()
+    states, transitions = frequencies(store)
     assert states == {"s1": 2, "s2": 2, "s3": 2}
     assert transitions == {("s1", "s2"): 2, ("s2", "s3"): 2}
 
 
 def test_query_frequencies_empty_store():
-    with pytest.raises(EmptyStore):
-        CampaignStore().query_frequencies()
+    with pytest.raises(EmptyInput):
+        frequencies(CampaignStore())
 
 
 def test_outcome_partition_counts_paper_shape():
@@ -161,10 +170,8 @@ def test_dot_edge_labels_match_frequency_recount():
     store.record_trace(make_trace(["a", "b"], outcome="Failed"))
     t = ConnectionTrace(states=(("a", 7), ("b", 9)), outcome="Success", outcome_time=11)
     store.record_trace(t)
-    _, succ_transitions = store.query_frequencies("Success")
-    _, fail_transitions = store.query_frequencies("Failed")
-    f = fail_transitions[("a", "b")]
-    s = succ_transitions[("a", "b")]
+    s, f = build_graph(store.traces()).edge_counts(("a", "b"))
+    assert (s, f) == (1, 1)
     dot = store.export("dot").decode()
     assert f'"a" -> "b" [label="fail:{f} succ:{s}"];' in dot
 
